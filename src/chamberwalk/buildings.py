@@ -466,10 +466,6 @@ class A2Ball:
         return vals.pop()
 
 
-def a2_ball_build(p: int, radius: int) -> A2Ball:
-    return A2Ball(p, radius)
-
-
 # -- spherical A2 buildings from projective planes ---------------------------------
 
 class SphericalA2:
@@ -565,40 +561,3 @@ class SphericalA2:
             gate1 = self.proj_residue(panel, c1)
             c0 = next(d for d in panel if d != c0 and d != gate1)
 
-
-# -- generic operation aliases ------------------------------------------------------
-
-def sigma(model, x, y):
-    return model.sigma(x, y)
-
-
-def v_lambda(model, o, lam):
-    return model.v_lambda(o, lam)
-
-
-def weyl_distance(s: SphericalA2, c1, c2) -> WeylElement:
-    return s.weyl_distance(c1, c2)
-
-
-def residue(s: SphericalA2, c, subset):
-    return s.residue(c, subset)
-
-
-def proj_residue(s: SphericalA2, residue_chambers, c):
-    return s.proj_residue(residue_chambers, c)
-
-
-def opposite_to_both(s: SphericalA2, c1, c2):
-    return s.opposite_to_both(c1, c2)
-
-
-def link_opposition_check(b: A2Ball, o, z, zp) -> bool:
-    return b.link_opposition_check(o, z, zp)
-
-
-def busemann_h(model, x, y, sector_data):
-    return model.busemann_h(x, y, sector_data)
-
-
-def beta(b: TreeBuilding, x, e1, e2):
-    return b.beta(x, e1, e2)

@@ -59,6 +59,7 @@ from .discretize import (
     discretize_lattice,
     harmonic_transfer_check,
     induced_kernel_exact,
+    mass_is_one,
 )
 from .errors import CheckFailure, SchemaError, SizeGuardError
 from .netwalk import (
@@ -430,6 +431,9 @@ def cmd_induce(cfg: RunConfig) -> int:
         induced = induced_kernel_exact(kernel, subset)
     except ValueError as exc:
         raise CheckFailure(str(exc)) from exc
+    if not induced.is_exact and kernel.is_exact:
+        raise SizeGuardError("the induced chain is past the exact solve limit; "
+                             "induce reports exact kernels only")
     m_restricted = {x: net.m(x) for x in subset}
     defect = reversibility_defect(induced, m_restricted)
     rows_json = []
@@ -524,10 +528,7 @@ def cmd_discretize(cfg: RunConfig) -> int:
     mu = discretize_lattice(net, action, base, rng=rng,
                             samples=cfg.sample_count(100000), method=method)
     doc = mu.to_json()
-    if mu.provenance == "exact":
-        ok = mu.total() == 1
-    else:
-        ok = mu.unresolved <= 0.01
+    ok = mu.unresolved <= 0.01 if mu.provenance == "mc" else mass_is_one(mu.total())
     report = {
         "schema": SCHEMA,
         "command": "discretize",
@@ -938,7 +939,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for name in names:
         ordinal, _, fn = SUITE_INDEX[name]
         checks = fn(cfg, rng.child(ordinal) if rng is not None else None)
-        ok = all(c["verdict"] for c in checks)
+        ok = bool(checks) and all(c["verdict"] for c in checks)
         all_ok &= ok
         suites_out.append({"suite": name, "checks": checks, "verdict": ok})
     report = {

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .netwalk import solve_exact
+
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -84,8 +86,9 @@ class RootSystem:
         )
         self.positive_roots: tuple[IVec, ...] = self._close_positive_roots()
         self.highest_root: IVec = max(self.positive_roots, key=lambda m: (sum(m), m))
-        # lambda_i in root coordinates: row i of the inverse Gram matrix.
-        self.fundamental_coweights: tuple[Vec, ...] = _invert_rational(self.gram)
+        # lambda_i in root coordinates: row (= column) i of the symmetric Gram inverse.
+        self.fundamental_coweights: tuple[Vec, ...] = tuple(
+            tuple(col) for col in solve_exact(self.gram, self.simple_roots))
         self._coset_reps = self._enumerate_coweight_cosets()
 
     # -- basic linear data -------------------------------------------------
@@ -165,9 +168,7 @@ class RootSystem:
         matrix, so membership is an exact linear solve plus integrality.
         """
         # solve z . cartan = cw
-        n = self.rank
-        rows = [[Fraction(self.cartan[j][i]) for j in range(n)] for i in range(n)]
-        z = _solve_rational_square(rows, [Fraction(c) for c in cw])
+        (z,) = solve_exact(list(zip(*self.cartan)), [cw])
         return all(x.denominator == 1 for x in z)
 
     def _enumerate_coweight_cosets(self) -> tuple[IVec, ...]:
@@ -203,37 +204,6 @@ class RootSystem:
             if self.in_coroot_lattice(tuple(c - r for c, r in zip(cw, rep))):
                 return t
         raise AssertionError("coset representatives do not cover P/Q")
-
-
-def _invert_rational(gram: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    n = len(gram)
-    aug = [[Fraction(gram[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _solve_rational_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    aug = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def root_system(cartan_type: str) -> RootSystem:

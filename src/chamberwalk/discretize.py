@@ -43,11 +43,18 @@ def stopping_times(nodes, in_subset):
     return taus, [nodes[j] for j in taus]
 
 
+def mass_is_one(total) -> bool:
+    """total == 1 exactly, or within 1e-12 for floats past EXACT_SOLVE_LIMIT."""
+    return abs(total - 1) <= (0 if isinstance(total, Fraction) else 1e-12)
+
+
 def induced_kernel_exact(kernel: MarkovKernel, subset) -> MarkovKernel:
     """The kernel of the induced chain on a subset of a finite chain.
 
     q(x, y) = sum_z p(x, z) alpha(z, y) with alpha the absorption matrix of
     the subset; fails loudly if the subset is not almost surely revisited.
+    Past ``EXACT_SOLVE_LIMIT`` unknowns alpha, and so q, is float and the
+    returned kernel has ``is_exact`` False.
     """
     subset = list(subset)
     alpha = hitting_matrix(kernel, subset)
@@ -59,7 +66,7 @@ def induced_kernel_exact(kernel: MarkovKernel, subset) -> MarkovKernel:
                 if a != 0:
                     row[y] = row.get(y, Fraction(0)) + p * a
         total = sum(row.values())
-        if total != 1:
+        if not mass_is_one(total):
             raise ValueError(
                 f"induced row at {x!r} sums to {total}; subset not a.s. revisited"
             )
@@ -162,7 +169,7 @@ class LatticeMeasure:
 
     base: object
     entries: tuple          # ((key, prob), ...) sorted by repr(key)
-    provenance: str         # "exact" or "mc"
+    provenance: str         # "exact", "float" (past the exact solve limit) or "mc"
     symmetric: bool
     unresolved: float
     stabilizer_order: int
@@ -225,8 +232,11 @@ def _measure_from_row(action, o, row_items, provenance, unresolved=0.0) -> Latti
         for g in _group_elements_mapping(action, o, y):
             entries.append((g, qprob / stab))
     entries.sort(key=lambda t: repr(t[0]))
+    if provenance == "exact" and any(isinstance(p, float) for _, p in entries):
+        provenance = "float"    # a solve past EXACT_SOLVE_LIMIT, or float conductances
     mu = dict(entries)
-    symmetric = all(mu.get(action.inverse_key(g)) == p for g, p in entries)
+    tol = 1e-12 if provenance == "float" else 0
+    symmetric = all(abs(mu.get(action.inverse_key(g), 0) - p) <= tol for g, p in entries)
     return LatticeMeasure(
         base=o,
         entries=tuple(entries),
@@ -301,7 +311,7 @@ def _integer_line_exact(net, action: IntegerTranslationAction, o: int,
         for y, a in alpha[z].items():
             if a != 0:
                 row[y] = row.get(y, Fraction(0)) + p * a
-    if sum(row.values()) != 1:
+    if not mass_is_one(sum(row.values())):
         raise ValueError("window absorption did not resolve all mass")
     return _measure_from_row(action, o, sorted(row.items()), "exact")
 

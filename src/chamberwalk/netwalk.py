@@ -18,12 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 import json
+from math import gcd, lcm
+import heapq
 
 import numpy as np
 
 from .errors import SchemaError
 
-EXACT_SOLVE_LIMIT = 200
+EXACT_SOLVE_LIMIT = 600
 
 
 # -- rng ---------------------------------------------------------------------
@@ -238,6 +240,7 @@ class MarkovKernel:
         self.reversible_with = reversible_with
         self.is_exact = is_exact
         self._cache: dict = {}
+        self._hitting: dict = {}    # hitting_matrix answers by absorbing tuple
         if self.nodes is not None:
             for x in self.nodes:
                 self._validate_row(x, self.row(x))
@@ -403,41 +406,99 @@ def is_irreducible(kernel: MarkovKernel) -> bool:
 
 # -- linear solves ---------------------------------------------------------------
 
-def solve_exact(rows: list[list[Fraction]], rhs_cols: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gaussian elimination over the rationals; rhs_cols holds columns.
+def _entries(vec):
+    """(index, value) pairs of a dense sequence or a sparse {index: value} dict."""
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
 
-    Returns the solution columns.  Intended for systems up to
-    ``EXACT_SOLVE_LIMIT`` unknowns; larger systems should go through the
-    float path.
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries, zeros dropped."""
+    row = {c: v for c, v in row.items() if v}
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def solve_exact(rows, rhs_cols) -> list[list[Fraction]]:
+    """Solve A x = b exactly for each right-hand side b; returns the columns x.
+
+    A row of A is a dense sequence or a sparse {column: value} dict, and a
+    right-hand side a dense column or a sparse {row: value} dict, with
+    rational entries.  Fraction-free elimination (after E. H. Bareiss,
+    Math. Comp. 22, 1968, with each row's content gcd in place of his exact
+    division): every augmented row is scaled to integers, elimination
+    touches nonzero entries only and pivots on the diagonal, sparsest row
+    first, taking another row only where no diagonal pivot is left; the
+    back substitution divides once per unknown.  Raises ValueError on a
+    singular system and past ``EXACT_SOLVE_LIMIT`` unknowns.
     """
     n = len(rows)
     if n > EXACT_SOLVE_LIMIT:
         raise ValueError(f"exact solve limited to {EXACT_SOLVE_LIMIT} unknowns")
-    k = len(rhs_cols)
-    aug = [rows[i][:] + [rhs_cols[j][i] for j in range(k)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(k)]
+    aug: list = [{} for _ in range(n)]         # right-hand side j in column n + j
+    for j, col in enumerate(rhs_cols):
+        for i, v in _entries(col):
+            aug[i][n + j] = v
+    holders: list = [set() for _ in range(n)]   # rows with a nonzero in a column
+    heap: list = []                             # (row length, row) diagonal pivots
+
+    def store(r, row):
+        aug[r] = _primitive(row)
+        for c in aug[r]:
+            if c < n:
+                holders[c].add(r)
+        heapq.heappush(heap, (len(aug[r]), r))
+
+    def clear(r, p, col):
+        a, b = aug[p][col], aug[r][col]
+        g = gcd(a, b)
+        row = {c: a // g * v for c, v in aug[r].items()}
+        for c, v in aug[p].items():
+            row[c] = row.get(c, 0) - b // g * v
+        store(r, row)
+
+    for i, row in enumerate(rows):
+        entries = {c: Fraction(v) for c, v in (*_entries(row), *aug[i].items()) if v}
+        den = lcm(*(v.denominator for v in entries.values()))
+        store(i, {c: v.numerator * (den // v.denominator) for c, v in entries.items()})
+    free, order = set(range(n)), {}             # order: column -> its pivot row
+    while len(order) < n:
+        while heap:
+            size, p = heapq.heappop(heap)
+            if p in free and p in aug[p] and size == len(aug[p]):
+                col = p
+                break
+        else:   # no diagonal pivot left: any free row holding the first column left
+            col = min(set(range(n)) - set(order))
+            p = min((r for r in holders[col] if r in free and col in aug[r]), default=None)
+            if p is None:
+                raise ValueError("singular system")
+        free.discard(p)
+        order[col] = p
+        for r in holders[col] & free:
+            if col in aug[r]:
+                clear(r, p, col)
+    for col, p in reversed(order.items()):
+        for r in holders[col]:
+            if r != p and col in aug[r]:
+                clear(r, p, col)
+    return [[Fraction(aug[order[c]].get(n + j, 0), aug[order[c]][c]) for c in range(n)]
+            for j in range(len(rhs_cols))]
 
 
 def solve_float(rows, rhs_cols):
-    """Float solve with one step of iterative refinement; returns (cols, residual)."""
-    a = np.array(rows, dtype=float)
-    b = np.array(rhs_cols, dtype=float).T
+    """Float solve of solve_exact's systems, refined once; returns (cols, residual)."""
+    a = np.zeros((len(rows), len(rows)))
+    b = np.zeros((len(rows), len(rhs_cols)))
+    for i, row in enumerate(rows):
+        for c, v in _entries(row):
+            a[i, c] = float(v)
+    for j, col in enumerate(rhs_cols):
+        for i, v in _entries(col):
+            b[i, j] = float(v)
     x = np.linalg.solve(a, b)
-    r = b - a @ x
-    x = x + np.linalg.solve(a, r)
+    x = x + np.linalg.solve(a, b - a @ x)
     resid = float(np.max(np.abs(b - a @ x))) if b.size else 0.0
-    return [list(x[:, j]) for j in range(x.shape[1])], resid
+    return x.T.tolist(), resid
 
 
 def hitting_matrix(kernel: MarkovKernel, absorbing) -> dict:
@@ -445,53 +506,52 @@ def hitting_matrix(kernel: MarkovKernel, absorbing) -> dict:
 
     Returns {x: {y: prob}} for every node x of a finite kernel, with
     alpha(y, .) a point mass for y absorbing.  States that cannot reach the
-    absorbing set get sub-stochastic (possibly zero) rows.
+    absorbing set get sub-stochastic (possibly zero) rows.  Exact kernels
+    get ``Fraction`` values up to ``EXACT_SOLVE_LIMIT`` unknowns and floats
+    past it.  The kernel keeps each absorbing tuple's answer for its own
+    lifetime; every call returns fresh dicts.
     """
-    absorbing = list(absorbing)
-    absorbing_set = set(absorbing)
+    key = tuple(absorbing)
+    if key not in kernel._hitting:
+        kernel._hitting[key] = _solve_hitting(kernel, key)
+    return {x: dict(row) for x, row in kernel._hitting[key].items()}
+
+
+def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> dict:
     nodes = kernel.nodes
-    transient = [x for x in nodes if x not in absorbing_set]
+    col_of = {y: j for j, y in enumerate(absorbing)}
+    transient = [x for x in nodes if x not in col_of]
     # restrict to transient states that can reach the absorbing set
-    reach_a = set(absorbing)
-    changed = True
-    while changed:
-        changed = False
-        for x in transient:
-            if x in reach_a:
-                continue
-            if any(y in reach_a and p > 0 for y, p in kernel.row(x)):
+    into: dict = {}
+    for x in transient:
+        for y, p in kernel.row(x):
+            if p > 0:
+                into.setdefault(y, []).append(x)
+    reach_a, stack = set(absorbing), list(absorbing)
+    while stack:
+        for x in into.get(stack.pop(), ()):
+            if x not in reach_a:
                 reach_a.add(x)
-                changed = True
+                stack.append(x)
     solvable = [x for x in transient if x in reach_a]
     idx = {x: i for i, x in enumerate(solvable)}
-    n = len(solvable)
-    exact = kernel.is_exact and n <= EXACT_SOLVE_LIMIT
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    exact = kernel.is_exact and len(solvable) <= EXACT_SOLVE_LIMIT
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
 
-    rows = [[zero] * n for _ in range(n)]
-    rhs = [[zero] * n for _ in absorbing]
-    for x in solvable:
-        i = idx[x]
-        rows[i][i] += one
+    rows = [{i: 1} for i in range(len(solvable))]
+    rhs: list = [{} for _ in absorbing]
+    for i, x in enumerate(solvable):
         for y, p in kernel.row(x):
-            p = p if exact else float(p)
             if y in idx:
-                rows[i][idx[y]] -= p
-            elif y in absorbing_set:
-                rhs[absorbing.index(y)][i] += p
+                rows[i][idx[y]] = rows[i].get(idx[y], 0) - p
+            elif y in col_of:
+                rhs[col_of[y]][i] = rhs[col_of[y]].get(i, 0) + p
             # transitions into unreachable states lose their mass
-    if n > 0:
-        if exact:
-            cols = solve_exact(rows, rhs)
-        else:
-            cols, _ = solve_float(rows, rhs)
-    else:
-        cols = [[] for _ in absorbing]
+    cols = solve_exact(rows, rhs) if exact else solve_float(rows, rhs)[0]
 
     out: dict = {}
     for x in nodes:
-        if x in absorbing_set:
+        if x in col_of:
             out[x] = {y: (one if y == x else zero) for y in absorbing}
         elif x in idx:
             out[x] = {y: cols[j][idx[x]] for j, y in enumerate(absorbing)}

@@ -1,7 +1,9 @@
 """Command line behaviour: report contracts, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
+from chamberwalk import netwalk
 from chamberwalk.cli import main
 
 
@@ -47,6 +49,51 @@ def test_verify_without_suites_is_trivially_green(capsys):
     assert code == 0
     assert report["suites"] == []
     assert report["verdict"] is True
+
+
+def test_named_suite_without_checks_is_not_green(capsys):
+    code, report = run_json(capsys, "verify", "--suite", "tree-nlambda", "--k", "0")
+    assert code == 1
+    assert report["suites"] == [{"suite": "tree-nlambda", "checks": [], "verdict": False}]
+    assert report["verdict"] is False
+
+
+def _rotation_law(report):
+    """{image of 0: prob} of a cycle rotation law."""
+    return {json.loads(e["element"].replace("(", "[").replace(")", "]"))[0]: e["prob"]
+            for e in report["measure"]}
+
+
+def test_discretize_past_the_old_solve_limit_is_exact(capsys):
+    # 202 unknowns: above the former limit of 200
+    code, report = run_json(capsys, "discretize", "--family", "cycle:404",
+                            "--action", "rotation:2")
+    assert code == 0
+    assert report["provenance"] == "exact"
+    assert report["symmetric"] is True and report["verdict"] is True
+    assert {k: Fraction(v) for k, v in _rotation_law(report).items()} == {
+        0: Fraction(1, 2), 2: Fraction(1, 4), 402: Fraction(1, 4)}
+
+
+def test_float_fallback_is_labelled(monkeypatch, capsys):
+    monkeypatch.setattr(netwalk, "EXACT_SOLVE_LIMIT", 4)
+    code, report = run_json(capsys, "discretize", "--family", "cycle:24",
+                            "--action", "rotation:2")
+    assert code == 0
+    assert report["provenance"] == "float"
+    assert report["symmetric"] is True and report["verdict"] is True
+    law = _rotation_law(report)
+    assert all(isinstance(p, float) for p in law.values())
+    assert abs(law[0] - 0.5) + abs(law[2] - 0.25) + abs(law[22] - 0.25) < 1e-12
+    # the window solve of the integer line: float rounding breaks neither the
+    # mass check nor the symmetry of the law
+    code, report = run_json(capsys, "discretize", "--family", "integer-sublattice:5")
+    assert code == 0
+    assert report["provenance"] == "float"
+    assert report["symmetric"] is True and report["verdict"] is True
+    # induce refuses a float kernel instead of printing it as exact
+    assert main(["induce", "--family", "cycle:24", "--subset", "[0, 2, 4]"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 # -- exit codes --------------------------------------------------------------------

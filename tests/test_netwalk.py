@@ -1,6 +1,8 @@
 """Network and kernel layer: exact structure checks and reproducibility."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -208,6 +210,95 @@ def test_solve_exact_small():
     cols = solve_exact(rows, [[Fraction(5), Fraction(10)]])
     x = cols[0]
     assert [2 * x[0] + x[1], x[0] + 3 * x[1]] == [5, 10]
+
+
+def _residual(rows, rhs_cols, cols):
+    """Every entry of A x - b, for dense or sparse rows and columns."""
+    assert len(cols) == len(rhs_cols) and all(len(x) == len(rows) for x in cols)
+    out = []
+    for b, x in zip(rhs_cols, cols):
+        for i, row in enumerate(rows):
+            items = row.items() if isinstance(row, dict) else enumerate(row)
+            bi = b.get(i, 0) if isinstance(b, dict) else b[i]
+            out.append(sum(a * x[c] for c, a in items) - bi)
+    return out
+
+
+def test_solve_exact_sparse_m_matrices():
+    # I - P on a random sparse substochastic P: a nonsingular M-matrix, as in
+    # an absorption solve; a zero residual proves the unique solution
+    rng = random.Random(61)
+    for _ in range(25):
+        n = rng.randint(1, 40)
+        rows = []
+        for i in range(n):
+            row = {i: Fraction(1)}
+            out = rng.sample(range(n), min(n, rng.randint(1, 4)))
+            leak = Fraction(rng.randint(1, 3), 8) if rng.random() < 0.3 else Fraction(0)
+            weights = [rng.randint(1, 9) for _ in out]
+            for c, w in zip(out, weights):
+                row[c] = row.get(c, 0) - (1 - leak) * Fraction(w, sum(weights) + 1)
+            rows.append(row)
+        rhs = [{i: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                for i in rng.sample(range(n), rng.randint(0, n))} for _ in range(3)]
+        cols = solve_exact(rows, rhs)
+        assert all(isinstance(v, Fraction) for col in cols for v in col)
+        assert set(_residual(rows, rhs, cols)) <= {0}
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        dense_rhs = [[b.get(i, 0) for i in range(n)] for b in rhs]
+        assert solve_exact(dense, dense_rhs) == cols
+
+
+def test_solve_exact_swaps_rows_at_a_zero_pivot():
+    rows = [[0, 2, 1], [1, 0, 0], [3, 1, 0]]
+    rhs = [[Fraction(7), Fraction(1, 3), Fraction(5)], [1, 0, 0]]
+    cols = solve_exact(rows, rhs)
+    assert set(_residual(rows, rhs, cols)) == {0}
+    assert cols[0][0] == Fraction(1, 3)
+
+
+def test_solve_exact_singular_raises():
+    with pytest.raises(ValueError, match="singular"):
+        solve_exact([[1, 2], [Fraction(1, 2), 1]], [[1, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        solve_exact([{0: 1, 2: 1}, {1: 1}, {0: 2, 2: 2}], [{}])
+
+
+def test_hitting_matrix_repeat_is_equal_and_fresh():
+    kern = kernel_from_network(random_network(random.Random(71), 12))
+    first = hitting_matrix(kern, [0, 5])
+    again = hitting_matrix(kern, [0, 5])
+    assert again == first and again is not first
+    assert hitting_matrix(kernel_from_network(random_network(random.Random(71), 12)),
+                          [0, 5]) == first
+    # mutating a returned dict or row does not reach the next answer
+    kept = {x: dict(row) for x, row in first.items()}
+    first[3][0] = Fraction(99)
+    del first[4]
+    row = hitting_distribution(kern, [0, 5], 2)
+    row[5] = Fraction(-1)
+    assert hitting_matrix(kern, [0, 5]) == kept
+    assert hitting_distribution(kern, [0, 5], 2) == kept[2]
+
+
+def test_hitting_matrix_follows_absorbing_order():
+    kern = kernel_from_network(path_network(5))
+    forward = hitting_matrix(kern, [0, 4])
+    backward = hitting_matrix(kern, [4, 0])
+    for x in kern.nodes:
+        assert list(forward[x]) == [0, 4]
+        assert list(backward[x]) == [4, 0]
+        assert forward[x] == backward[x]
+    assert backward[1] == {4: Fraction(1, 4), 0: Fraction(3, 4)}
+
+
+def test_hitting_memo_lives_with_its_kernel():
+    kern = kernel_from_network(cycle_network(9))
+    hitting_matrix(kern, [0, 4])
+    ref = weakref.ref(kern)
+    del kern
+    gc.collect()
+    assert ref() is None
 
 
 def test_occupation_matches_stationary_chisquare():
