@@ -3,8 +3,8 @@
 An action is used through a small interface: canonical orbit representative,
 stabilizer order, fundamental domain, and translation by group elements
 identified by canonical keys.  Finite permutation actions materialise the
-whole group; the lazy built-ins (integer translations, free-group and
-involution-product trees) know their answers directly.
+whole group; the lazy built-ins (integer translations, and word trees for
+free groups and free products of involutions) know their answers directly.
 
 For a network invariant under the action, the quotient network on the
 fundamental domain is
@@ -30,6 +30,7 @@ from .netwalk import (
     LazyNetwork,
     MarkovKernel,
     RngStream,
+    first_passages,
     kernel_from_network,
 )
 from .stats import ChiSquareResult, chisquare_expected
@@ -101,9 +102,6 @@ class FiniteAction:
         rep = self._orbit_rep[x]
         return [y for y in self.nodes if self._orbit_rep[y] == rep]
 
-    def identity_key(self):
-        return tuple(range(len(self.nodes)))
-
     def translate(self, key, x):
         return self.nodes[key[self._index[x]]]
 
@@ -144,9 +142,6 @@ class IntegerTranslationAction:
     def fundamental_domain(self):
         return list(range(self.k))
 
-    def identity_key(self) -> int:
-        return 0
-
     def translate(self, key: int, x: int) -> int:
         return x + key
 
@@ -166,37 +161,31 @@ class IntegerTranslationAction:
         return self.k * int(gen.integers(-8, 9))
 
 
-def _seam_reduce(a, b, cancels) -> tuple:
-    out = list(a)
-    i = 0
-    while out and i < len(b) and cancels(out[-1], b[i]):
-        out.pop()
-        i += 1
-    out.extend(b[i:])
-    return tuple(out)
+class WordTreeAction:
+    """A free product of cyclic groups on its Cayley tree, by left translation.
 
-
-class FreeGroupTreeAction:
-    """The free group F_rank acting on its Cayley tree by left translation.
-
-    Nodes are reduced words over the letters +-1 .. +-rank; the tree is
-    2*rank regular.  The action is simply transitive.
+    Nodes are reduced words over the int ``letters``: no letter is followed
+    by its inverse under the ``inverse`` map.  The tree is len(letters)
+    regular and the action is simply transitive.
     """
 
-    def __init__(self, rank: int) -> None:
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        self.rank = rank
-        self.letters = tuple(
-            s * i for i in range(1, rank + 1) for s in (1, -1)
-        )
+    def __init__(self, letters, inverse) -> None:
+        self.letters = tuple(letters)
+        self.inverse = dict(inverse)
 
-    @staticmethod
-    def _cancel(x: int, y: int) -> bool:
-        return x == -y
+    def contains(self, w) -> bool:
+        """Whether w is a node: a reduced word over the letters."""
+        return (isinstance(w, tuple) and all(type(a) is int and a in self.inverse for a in w)
+                and all(self.inverse[a] != b for a, b in zip(w, w[1:])))
 
     def reduce_concat(self, a, b) -> tuple:
-        return _seam_reduce(a, b, self._cancel)
+        out = list(a)
+        i = 0
+        while out and i < len(b) and self.inverse.get(out[-1]) == b[i]:
+            out.pop()
+            i += 1
+        out.extend(b[i:])
+        return tuple(out)
 
     def right_step(self, w, letter: int) -> tuple:
         return self.reduce_concat(w, (letter,))
@@ -210,9 +199,6 @@ class FreeGroupTreeAction:
     def fundamental_domain(self):
         return [()]
 
-    def identity_key(self) -> tuple:
-        return ()
-
     def translate(self, key, w) -> tuple:
         return self.reduce_concat(key, w)
 
@@ -220,7 +206,7 @@ class FreeGroupTreeAction:
         return self.reduce_concat(x, self.inverse_key(o))
 
     def inverse_key(self, key) -> tuple:
-        return tuple(-g for g in reversed(key))
+        return tuple(self.inverse[g] for g in reversed(key))
 
     def key_distance(self, key) -> int:
         return len(key)
@@ -233,71 +219,23 @@ class FreeGroupTreeAction:
         return w
 
     def network(self) -> LazyNetwork:
-        return LazyNetwork(
-            lambda w: [(self.right_step(w, g), 1) for g in self.letters],
-            description=f"free-group-tree-{self.rank}",
-        )
+        return LazyNetwork(lambda w: [(self.right_step(w, g), 1) for g in self.letters])
 
 
-class InvolutionTreeAction:
-    """The free product of m copies of Z/2Z on its Cayley tree.
+def FreeGroupTreeAction(rank: int) -> WordTreeAction:
+    """F_rank on its 2*rank regular Cayley tree, letters +-1 .. +-rank."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    letters = tuple(s * i for i in range(1, rank + 1) for s in (1, -1))
+    return WordTreeAction(letters, {g: -g for g in letters})
 
-    Nodes are words over the letters 0..m-1 with no immediate repetition;
-    the tree is m-regular and the action is simply transitive.
-    """
 
-    def __init__(self, m: int) -> None:
-        if m < 3:
-            raise ValueError("need at least 3 involutions for a tree")
-        self.m = m
-        self.letters = tuple(range(m))
-
-    @staticmethod
-    def _cancel(x: int, y: int) -> bool:
-        return x == y
-
-    def reduce_concat(self, a, b) -> tuple:
-        return _seam_reduce(a, b, self._cancel)
-
-    def right_step(self, w, letter: int) -> tuple:
-        return self.reduce_concat(w, (letter,))
-
-    def canonicalize(self, w) -> tuple:
-        return ()
-
-    def stabilizer_order(self, w) -> int:
-        return 1
-
-    def fundamental_domain(self):
-        return [()]
-
-    def identity_key(self) -> tuple:
-        return ()
-
-    def translate(self, key, w) -> tuple:
-        return self.reduce_concat(key, w)
-
-    def element_for(self, o, x) -> tuple:
-        return self.reduce_concat(x, self.inverse_key(o))
-
-    def inverse_key(self, key) -> tuple:
-        return tuple(reversed(key))
-
-    def key_distance(self, key) -> int:
-        return len(key)
-
-    def random_key(self, gen: np.random.Generator) -> tuple:
-        n = int(gen.integers(0, 7))
-        w: tuple = ()
-        for _ in range(n):
-            w = self.right_step(w, int(gen.integers(self.m)))
-        return w
-
-    def network(self) -> LazyNetwork:
-        return LazyNetwork(
-            lambda w: [(self.right_step(w, g), 1) for g in self.letters],
-            description=f"involution-tree-{self.m}",
-        )
+def InvolutionTreeAction(m: int) -> WordTreeAction:
+    """The free product of m copies of Z/2Z on its m-regular Cayley tree,
+    letters 0..m-1."""
+    if m < 3:
+        raise ValueError("need at least 3 involutions for a tree")
+    return WordTreeAction(range(m), {g: g for g in range(m)})
 
 
 # -- covolume ----------------------------------------------------------------------
@@ -438,22 +376,8 @@ class ReturnTimeStats:
 def return_time_samples(kernel: MarkovKernel, x, samples: int, rng: RngStream,
                         horizon: int = 10**6):
     """First return times to x, with censoring at the horizon."""
-    times = []
-    unresolved = 0
-    for i in range(samples):
-        gen = rng.child(i).generator()
-        y = kernel.sample_next(x, gen)
-        t = 1
-        while y != x:
-            if t >= horizon:
-                unresolved += 1
-                t = None
-                break
-            y = kernel.sample_next(y, gen)
-            t += 1
-        if t is not None:
-            times.append(t)
-    return times, unresolved
+    hits = first_passages(kernel, x, lambda y: y == x, rng, samples, horizon)
+    return [hit[1] for hit in hits if hit is not None], hits.count(None)
 
 
 def return_time_stats(qnet: QuotientNetwork, x, samples: int, rng: RngStream,

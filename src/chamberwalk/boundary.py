@@ -15,13 +15,14 @@ statistics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .buildings import A2Ball, SphericalA2, TreeBuilding, is_between
 from .coxeter import WeylGroup, chi, n_lambda, uniform_thickness
 from .netwalk import (MarkovKernel, RngStream, conductance_to_json, encode_node,
-                      parallel_map_indices)
+                      first_passages)
 from .stats import ChiSquareResult, chisquare_uniform, combine_chisquares
 
 
@@ -310,27 +311,6 @@ class HittingStats:
         }
 
 
-def _walks_to_level(ik: IsotropicKernel, o, stop, samples: int, rng: RngStream,
-                    horizon: int, workers: int):
-    """Exit vertices of independent walks, None where the horizon ran out.
-
-    Trajectory i draws from the child stream (i), so counts merge the same
-    way for any worker split.
-    """
-    kern = ik.kernel()
-
-    def one(i: int):
-        gen = rng.child(i).generator()
-        z = o
-        for _ in range(horizon):
-            z = kern.sample_next(z, gen)
-            if stop(z):
-                return z
-        return None
-
-    return parallel_map_indices(samples, one, workers)
-
-
 def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
                         rng: RngStream, horizon: int = 100000,
                         workers: int = 1) -> HittingStats:
@@ -349,17 +329,9 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
     model = ik.model
     if isinstance(model, TreeBuilding):
         sphere = model.sphere(o, level)
-        results = _walks_to_level(
-            ik, o, lambda z: model.distance(o, z) >= level,
-            samples, rng, horizon, workers)
-        tally: dict = {}
-        unresolved = 0
-        for z in results:
-            if z is None:
-                unresolved += 1
-                continue
-            gate = model.geodesic(o, z)[level]
-            tally[gate] = tally.get(gate, 0) + 1
+        hits = first_passages(ik.kernel(), o, lambda z: model.distance(o, z) >= level,
+                              rng, samples, horizon, workers)
+        tally = Counter(model.geodesic(o, hit[0])[level] for hit in hits if hit is not None)
         if tally:
             stat = chisquare_uniform([tally.get(v, 0) for v in sphere])
         else:
@@ -373,18 +345,11 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
             for lam in sorted(model.sigma_partition(o))
             if max(lam) == level
         }
-        results = _walks_to_level(
-            ik, o, lambda z: max(model.sigma(o, z)) >= level,
-            samples, rng, horizon, workers)
-        tally = {}
-        unresolved = 0
-        for z in results:
-            if z is None:
-                unresolved += 1
-                continue
-            if max(model.sigma(o, z)) != level:
-                raise AssertionError("walk skipped the exit level")
-            tally[z] = tally.get(z, 0) + 1
+        hits = first_passages(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
+                              rng, samples, horizon, workers)
+        tally = Counter(hit[0] for hit in hits if hit is not None)
+        if any(max(model.sigma(o, z)) != level for z in tally):
+            raise AssertionError("walk skipped the exit level")
         parts = []
         for lam, verts in classes.items():
             counts = [tally.get(v, 0) for v in verts]
@@ -398,7 +363,7 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
     else:
         raise TypeError("hitting statistics run on tree or lattice-ball models")
     counts = tuple(sorted(tally.items(), key=lambda t: encode_node(t[0])))
-    return HittingStats(counts=counts, samples=samples, unresolved=unresolved,
+    return HittingStats(counts=counts, samples=samples, unresolved=hits.count(None),
                         chi=stat, truncation_limited=truncated)
 
 

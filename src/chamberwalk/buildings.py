@@ -79,8 +79,18 @@ class TreeBuilding:
     def sigma(self, x, y):
         return (self.distance(x, y),)
 
+    SPHERE_LIMIT = 100000   # vertices one sphere may list
+
+    def guard_sphere(self, k: int) -> None:
+        """Refuse a sphere of radius k past SPHERE_LIMIT vertices, counted as
+        (q+1) q^(k-1) before any is listed."""
+        if k > 0 and (self.q + 1) * self.q ** (k - 1) > self.SPHERE_LIMIT:
+            raise SizeGuardError(f"a radius-{k} sphere has more than "
+                                 f"{self.SPHERE_LIMIT} vertices")
+
     def sphere(self, x, k: int):
         """All vertices at graph distance exactly k from x."""
+        self.guard_sphere(k)
         if k == 0:
             return [x]
         prev, cur = {x}, {x}
@@ -105,10 +115,7 @@ class TreeBuilding:
         return down + up
 
     def network(self) -> LazyNetwork:
-        return LazyNetwork(
-            lambda w: [(n, 1) for n in self.neighbors(w)],
-            description=f"tree-{self.q}",
-        )
+        return LazyNetwork(lambda w: [(n, 1) for n in self.neighbors(w)])
 
     # -- ends: rays from the origin, given as finite deep words ------------------
 
@@ -345,9 +352,6 @@ class A2Ball:
         """Adjacent vertices inside the ball."""
         return self._adj[x]
 
-    def contains(self, x) -> bool:
-        return x in self._index
-
     def _sigma_from_origin(self, y):
         e1, e2, e3 = _sigma_valuations(y, self.p)
         return (e3 - e2, e2 - e1)
@@ -532,10 +536,6 @@ class SphericalA2:
         if len(gates) != 1:
             raise AssertionError("projection is not unique; not a residue?")
         return gates[0]
-
-    def opposite_to_both(self, c1, c2):
-        chamber, _ = self.opposite_to_both_verbose(c1, c2)
-        return chamber
 
     def opposite_to_both_verbose(self, c1, c2):
         """A chamber opposite to both inputs, plus the improvement-step count.

@@ -218,72 +218,67 @@ def _flag_complex(q: int) -> SphericalA2:
     return SphericalA2(q)
 
 
-def family_network(spec: str):
-    """(network, base node) for a family name such as cycle:6 or tree:2."""
+def _rotation_action(size: int, r: int) -> FiniteAction:
+    return FiniteAction(range(size), [tuple((i + r) % size for i in range(size))])
+
+
+def _word_tree(action):
+    return action.network(), (), action, action.contains
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+# family name -> (argument label, or None where the argument is ignored; the
+# commands that take it: "network" for simulate, quotient and induce,
+# "lattice" for discretize; builder of (network, base node, built-in action
+# or None, node test)).  Cycles take their lattice action from --action.
+FAMILIES = {
+    "cycle": ("cycle size", ("network", "lattice"),
+              lambda n: (cycle_network(n), 0, None, range(n).__contains__)),
+    "path": ("path size", ("network",),
+             lambda n: (path_network(n), 0, None, range(n).__contains__)),
+    "integer-line": (None, ("network",), lambda _: (integer_line_network(), 0, None, _is_int)),
+    "integer-sublattice": ("sublattice index", ("lattice",), lambda k: (
+        integer_line_network(), 0, IntegerTranslationAction(k), _is_int)),
+    "tree": ("tree thickness", ("network",), lambda q: (
+        TreeBuilding(q).network(), (), None, InvolutionTreeAction(q + 1).contains)),
+    "free2-tree": (None, ("network", "lattice"), lambda _: _word_tree(FreeGroupTreeAction(2))),
+    "free-tree": ("free rank", ("network", "lattice"),
+                  lambda r: _word_tree(FreeGroupTreeAction(r))),
+    "involution-tree": ("generator count", ("network", "lattice"),
+                        lambda m: _word_tree(InvolutionTreeAction(m))),
+}
+
+
+def family_setup(spec, kind: str):
+    """(network, base node, built-in action or None, node test) for a family
+    name such as cycle:6 or tree:2, taken as a "network" or "lattice" family."""
     name, _, arg = str(spec).partition(":")
-    if name == "cycle":
-        return cycle_network(_positive_int(arg, "cycle size")), 0
-    if name == "path":
-        return path_network(_positive_int(arg, "path size")), 0
-    if name == "integer-line":
-        return integer_line_network(), 0
-    if name == "tree":
-        return TreeBuilding(_positive_int(arg, "tree thickness")).network(), ()
-    if name == "free2-tree":
-        return FreeGroupTreeAction(2).network(), ()
-    if name == "free-tree":
-        return FreeGroupTreeAction(_positive_int(arg, "free rank")).network(), ()
-    if name == "involution-tree":
-        return InvolutionTreeAction(_positive_int(arg, "generator count")).network(), ()
-    raise SchemaError(f"unknown network family {spec!r}")
+    if name not in FAMILIES or kind not in FAMILIES[name][1]:
+        raise SchemaError(f"unknown {kind} family {spec!r}")
+    label, _, build = FAMILIES[name]
+    return build(_positive_int(arg, label) if label else None)
 
 
-def family_action(family: str, spec: str):
+def family_action(family: str, spec: str, net):
     """An invariant action on the family's network, from a name like rotation:2."""
     name, _, arg = str(spec).partition(":")
     if name == "translation":
         return IntegerTranslationAction(_positive_int(arg, "translation step"))
     if name == "rotation":
-        fam, _, size_arg = str(family).partition(":")
-        if fam != "cycle":
+        if str(family).partition(":")[0] != "cycle":
             raise SchemaError("rotation actions act on cycle networks")
-        size = _positive_int(size_arg, "cycle size")
-        r = _positive_int(arg, "rotation step") % size
+        r = _positive_int(arg, "rotation step") % len(net.nodes)
         if r == 0:
             raise SchemaError("rotation step must not be a multiple of the cycle size")
-        return FiniteAction(range(size), [tuple((i + r) % size for i in range(size))])
+        return _rotation_action(len(net.nodes), r)
     if name == "free":
         return FreeGroupTreeAction(_positive_int(arg, "free rank"))
     if name == "involution":
         return InvolutionTreeAction(_positive_int(arg, "generator count"))
     raise SchemaError(f"unknown action {spec!r}")
-
-
-def lattice_setup(cfg: RunConfig):
-    """(network, action, base) for the discretize families."""
-    family = cfg.param("family")
-    if family is None:
-        raise SchemaError("discretize needs --family")
-    name, _, arg = str(family).partition(":")
-    if name == "free2-tree":
-        action = FreeGroupTreeAction(2)
-        return action.network(), action, ()
-    if name == "free-tree":
-        action = FreeGroupTreeAction(_positive_int(arg, "free rank"))
-        return action.network(), action, ()
-    if name == "involution-tree":
-        action = InvolutionTreeAction(_positive_int(arg, "generator count"))
-        return action.network(), action, ()
-    if name == "integer-sublattice":
-        k = _positive_int(arg, "sublattice index")
-        return integer_line_network(), IntegerTranslationAction(k), 0
-    if name == "cycle":
-        net = cycle_network(_positive_int(arg, "cycle size"))
-        spec = cfg.param("action")
-        if spec is None:
-            raise SchemaError("cycle discretization needs --action rotation:r")
-        return net, family_action(str(family), str(spec)), 0
-    raise SchemaError(f"unknown lattice family {family!r}")
 
 
 def _finite_network(cfg: RunConfig):
@@ -299,7 +294,7 @@ def _finite_network(cfg: RunConfig):
     family = cfg.param("family")
     if family is None:
         raise SchemaError(f"{cfg.command} needs --family or --network")
-    net, _ = family_network(str(family))
+    net = family_setup(family, "network")[0]
     if not isinstance(net, FiniteNetwork):
         raise SchemaError(f"{cfg.command} needs a finite network, not {family!r}")
     return net
@@ -382,11 +377,11 @@ def cmd_ball(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     rng = cfg.require_stream()
     family = str(cfg.param("family", "cycle:6"))
-    net, start = family_network(family)
+    net, start, _, is_node = family_setup(family, "network")
     raw_start = cfg.param("start")
     if raw_start is not None:
         start = _parse_node(raw_start)
-    if isinstance(net, FiniteNetwork) and start not in net.nodes:
+    if not is_node(start):
         raise SchemaError(f"start node {start!r} is not in the network")
     steps = cfg.int_param("steps", 1000)
     if steps < 1:
@@ -461,8 +456,8 @@ def cmd_quotient(cfg: RunConfig) -> int:
     spec = cfg.param("action")
     if spec is None:
         raise SchemaError("quotient needs --action")
-    net, _ = family_network(family)
-    action = family_action(family, str(spec))
+    net = family_setup(family, "network")[0]
+    action = family_action(family, str(spec), net)
     qnet = quotient_network(net, action)
     stationarity = check_stationary(qnet.kernel(), qnet.m_prime)
     if isinstance(action, FiniteAction):
@@ -522,7 +517,15 @@ def cmd_quotient(cfg: RunConfig) -> int:
 
 
 def cmd_discretize(cfg: RunConfig) -> int:
-    net, action, base = lattice_setup(cfg)
+    family = cfg.param("family")
+    if family is None:
+        raise SchemaError("discretize needs --family")
+    net, base, action, _ = family_setup(family, "lattice")
+    if action is None:
+        spec = cfg.param("action")
+        if spec is None:
+            raise SchemaError("cycle discretization needs --action rotation:r")
+        action = family_action(family, str(spec), net)
     method = str(cfg.param("method", "auto"))
     rng = RngStream(int(cfg.seed)) if cfg.seed is not None else None
     mu = discretize_lattice(net, action, base, rng=rng,
@@ -549,6 +552,7 @@ def suite_tree_nlambda(cfg: RunConfig, rng) -> list:
     q = cfg.int_param("q", 2)
     depth = cfg.int_param("k", 8)
     tree = TreeBuilding(q)
+    tree.guard_sphere(depth)    # the largest sphere, refused before any is listed
     measure = CylinderMeasure(tree)
     checks = []
     for k in range(1, depth + 1):
@@ -590,10 +594,6 @@ def suite_a2_nlambda(cfg: RunConfig, rng) -> list:
             "verdict": formula == len(verts),
         })
     return checks
-
-
-def _rotation_action(size: int, r: int) -> FiniteAction:
-    return FiniteAction(range(size), [tuple((i + r) % size for i in range(size))])
 
 
 def suite_quotient_exact(cfg: RunConfig, rng) -> list:

@@ -106,13 +106,6 @@ class RootSystem:
         """<lambda, alpha> for lambda in coweight and alpha in root coordinates."""
         return sum(c * m for c, m in zip(cw, root))
 
-    def coweight_to_root(self, cw) -> Vec:
-        """Express a coweight-coordinate vector in root coordinates."""
-        return tuple(
-            sum(Fraction(cw[i]) * self.fundamental_coweights[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
-
     def reflect_root(self, i: int, m: IVec) -> IVec:
         """s_i acting on root coordinates, i in 1..rank."""
         a = self.cartan[i - 1]

@@ -19,14 +19,17 @@ finite enclosure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import FiniteAction, IntegerTranslationAction
+from .errors import SizeGuardError
 from .netwalk import (
     FiniteNetwork,
     MarkovKernel,
     RngStream,
+    first_passages,
     hitting_matrix,
     kernel_from_network,
 )
@@ -82,23 +85,11 @@ def induced_kernel_mc(kernel: MarkovKernel, subset, samples: int, rng: RngStream
     rows = {}
     unresolved = {}
     for xi, x in enumerate(subset):
-        counts: dict = {}
-        bad = 0
-        for i in range(samples):
-            gen = rng.child(xi, i).generator()
-            z = kernel.sample_next(x, gen)
-            t = 1
-            while z not in subset_set:
-                if t >= horizon:
-                    bad += 1
-                    z = None
-                    break
-                z = kernel.sample_next(z, gen)
-                t += 1
-            if z is not None:
-                counts[z] = counts.get(z, 0) + 1
+        hits = first_passages(kernel, x, lambda z: z in subset_set, rng.child(xi),
+                              samples, horizon)
+        counts = Counter(hit[0] for hit in hits if hit is not None)
         rows[x] = {y: c / samples for y, c in counts.items()}
-        unresolved[x] = bad / samples
+        unresolved[x] = hits.count(None) / samples
     return rows, unresolved
 
 
@@ -258,35 +249,47 @@ def discretize_lattice(net, action, o, rng: RngStream | None = None,
     line get an absorption solve on one period window; finite ambient
     networks get the induced kernel on the orbit.  Everything else falls
     back to Monte Carlo with an explicit unresolved bucket; method="mc"
-    forces that path, method="exact" refuses to sample.
+    forces that path.  method="exact" refuses to sample, and refuses with
+    SizeGuardError a float law from an exact network past
+    ``EXACT_SOLVE_LIMIT``.
     """
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
     kernel = kernel_from_network(net)
-    if method != "mc":
-        if _is_transitive(action):
-            row = kernel.row(o)
-            if isinstance(net, FiniteNetwork):
-                induced = induced_kernel_exact(kernel, action.orbit(o)
-                                               if isinstance(action, FiniteAction)
-                                               else list(net.nodes))
-                if dict(induced.row(o)) != dict(row):
-                    raise AssertionError(
-                        "transitive fast path disagrees with induced kernel")
-            return _measure_from_row(action, o, row, "exact")
-        if isinstance(action, IntegerTranslationAction):
-            try:
-                return _integer_line_exact(net, action, o, kernel)
-            except ValueError:
-                pass
-        if isinstance(net, FiniteNetwork) and isinstance(action, FiniteAction):
-            induced = induced_kernel_exact(kernel, action.orbit(o))
-            return _measure_from_row(action, o, induced.row(o), "exact")
-        if method == "exact":
+    mu = None if method == "mc" else _exact_measure(net, action, o, kernel)
+    if method == "exact":
+        if mu is None:
             raise ValueError("no exact route for this network/action pair")
+        if mu.provenance == "float" and kernel.is_exact:
+            raise SizeGuardError("the exact route is past the exact solve limit; "
+                                 "method 'exact' reports exact laws only")
+    if mu is not None:
+        return mu
     if rng is None:
         raise ValueError("Monte Carlo discretization needs an RngStream")
     return _lattice_measure_mc(kernel, action, o, rng, samples, horizon)
+
+
+def _exact_measure(net, action, o, kernel: MarkovKernel) -> LatticeMeasure | None:
+    """The step law by the first exact route that applies, or None."""
+    if _is_transitive(action):
+        row = kernel.row(o)
+        if isinstance(net, FiniteNetwork):
+            induced = induced_kernel_exact(kernel, action.orbit(o)
+                                           if isinstance(action, FiniteAction)
+                                           else list(net.nodes))
+            if dict(induced.row(o)) != dict(row):
+                raise AssertionError("transitive fast path disagrees with induced kernel")
+        return _measure_from_row(action, o, row, "exact")
+    if isinstance(action, IntegerTranslationAction):
+        try:
+            return _integer_line_exact(net, action, o, kernel)
+        except ValueError:
+            pass
+    if isinstance(net, FiniteNetwork) and isinstance(action, FiniteAction):
+        induced = induced_kernel_exact(kernel, action.orbit(o))
+        return _measure_from_row(action, o, induced.row(o), "exact")
+    return None
 
 
 def _integer_line_exact(net, action: IntegerTranslationAction, o: int,
@@ -318,20 +321,9 @@ def _integer_line_exact(net, action: IntegerTranslationAction, o: int,
 
 def _lattice_measure_mc(kernel: MarkovKernel, action, o, rng: RngStream,
                         samples: int, horizon: int) -> LatticeMeasure:
-    counts: dict = {}
-    bad = 0
-    for i in range(samples):
-        gen = rng.child(i).generator()
-        z = kernel.sample_next(o, gen)
-        t = 1
-        while action.canonicalize(z) != action.canonicalize(o):
-            if t >= horizon:
-                bad += 1
-                z = None
-                break
-            z = kernel.sample_next(z, gen)
-            t += 1
-        if z is not None:
-            counts[z] = counts.get(z, 0) + 1
+    home = action.canonicalize(o)
+    hits = first_passages(kernel, o, lambda z: action.canonicalize(z) == home, rng,
+                          samples, horizon)
+    counts = Counter(hit[0] for hit in hits if hit is not None)
     row = [(y, c / samples) for y, c in sorted(counts.items(), key=lambda t: repr(t[0]))]
-    return _measure_from_row(action, o, row, "mc", unresolved=bad / samples)
+    return _measure_from_row(action, o, row, "mc", unresolved=hits.count(None) / samples)

@@ -169,10 +169,9 @@ class LazyNetwork:
     conductance) pairs of x, consistently in both directions.
     """
 
-    def __init__(self, neighbors_fn, encode_fn=encode_node, description: str = "lazy") -> None:
+    def __init__(self, neighbors_fn, encode_fn=encode_node) -> None:
         self._neighbors_fn = neighbors_fn
         self._encode_fn = encode_fn
-        self.description = description
         self.is_exact = True
 
     def neighbors(self, x):
@@ -211,8 +210,7 @@ def network_from_json(doc) -> FiniteNetwork:
 
 def integer_line_network() -> LazyNetwork:
     """Simple random walk network on the integers, unit conductances."""
-    return LazyNetwork(lambda n: [(n - 1, 1), (n + 1, 1)],
-                       description="integer-line")
+    return LazyNetwork(lambda n: [(n - 1, 1), (n + 1, 1)])
 
 
 def cycle_network(n: int) -> FiniteNetwork:
@@ -345,6 +343,28 @@ def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Traject
         x = kernel.sample_next(x, gen)
         out.append(x)
     return Trajectory(start=start, nodes=tuple(out), stream=rng)
+
+
+def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: int,
+                   horizon: int, workers: int = 1) -> list:
+    """First passages of ``samples`` independent walks from ``start``.
+
+    Entry i is (Z_t, t) for the first t in 1..horizon with stop(Z_t), or
+    None where the horizon ran out; the start itself is never tested.  Walk
+    i draws from the child stream (i), so the list is the same for any
+    worker split.
+    """
+
+    def one(i: int):
+        gen = rng.child(i).generator()
+        z = start
+        for t in range(1, horizon + 1):
+            z = kernel.sample_next(z, gen)
+            if stop(z):
+                return z, t
+        return None
+
+    return parallel_map_indices(samples, one, workers)
 
 
 def occupation_counts(trajectory: Trajectory) -> dict:

@@ -3,8 +3,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from chamberwalk import netwalk
-from chamberwalk.cli import main
+from chamberwalk.buildings import TreeBuilding
+from chamberwalk.cli import FAMILIES, main
 
 
 def run_json(capsys, *argv):
@@ -96,7 +99,50 @@ def test_float_fallback_is_labelled(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_discretize_exact_method_refuses_a_float_law(monkeypatch, capsys):
+    monkeypatch.setattr(netwalk, "EXACT_SOLVE_LIMIT", 4)
+    assert main(["discretize", "--family", "cycle:24", "--action", "rotation:2",
+                 "--method", "exact"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 # -- exit codes --------------------------------------------------------------------
+
+
+# a node of each network family, and a value outside it
+START_NODES = {
+    "cycle:6": ("5", "6"),
+    "path:4": ("3", "-1"),
+    "integer-line": ("-7", "1.5"),
+    "tree:2": ("[2, 0, 1]", "[5]"),
+    "free2-tree": ("[2, -1, -1]", "[1, -1]"),
+    "free-tree:3": ("[-3, 2]", "[4]"),
+    "involution-tree:3": ("[0, 2, 0]", "[1, 1]"),
+}
+
+
+def test_start_nodes_cover_every_network_family():
+    assert {f.partition(":")[0] for f in START_NODES} == {
+        name for name, (_, kinds, _) in FAMILIES.items() if "network" in kinds}
+
+
+@pytest.mark.parametrize("family", sorted(START_NODES))
+def test_simulate_refuses_a_start_outside_the_model(family, capsys):
+    inside, outside = START_NODES[family]
+    argv = ["simulate", "--family", family, "--seed", "1", "--steps", "5", "--start"]
+    assert main(argv + [inside]) == 0
+    assert main(argv + [outside]) == 2
+    assert "not in the network" in capsys.readouterr().err
+
+
+def test_tree_nlambda_guard_fires_before_any_sphere(monkeypatch, capsys):
+    def unguarded(self, x, k):
+        raise AssertionError("sphere listed past the guard")
+
+    monkeypatch.setattr(TreeBuilding, "sphere", unguarded)
+    assert main(["verify", "--suite", "tree-nlambda", "--k", "60"]) == 3
+    assert capsys.readouterr().out == ""
+
 
 
 def test_unknown_suite_exits_2(capsys):

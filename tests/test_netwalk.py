@@ -14,6 +14,7 @@ from chamberwalk.netwalk import (
     RngStream,
     check_stationary,
     cycle_network,
+    first_passages,
     harmonic_defect,
     hitting_distribution,
     hitting_matrix,
@@ -121,6 +122,40 @@ def test_parallel_map_worker_independence():
     r4 = parallel_map_indices(40, one, workers=4)
     r8 = parallel_map_indices(40, one, workers=8)
     assert r1 == r4 == r8
+
+
+def test_first_passages_never_test_the_start():
+    # every walk starts inside the stop set; on a cycle of 6 the earliest
+    # return is at t = 2, so no entry may read (0, 0) or (z, 1)
+    kern = kernel_from_network(cycle_network(6))
+    hits = first_passages(kern, 0, lambda z: z == 0, RngStream(5), 60, 1000)
+    assert len(hits) == 60
+    assert all(hit is not None and hit[0] == 0 and hit[1] >= 2 and hit[1] % 2 == 0
+               for hit in hits)
+
+
+def test_first_passages_stop_at_the_first_hit_within_the_horizon():
+    kern = kernel_from_network(cycle_network(7))
+    hits = first_passages(kern, 0, lambda z: z in (3, 4), RngStream(8), 80, 6)
+    resolved = [hit for hit in hits if hit is not None]
+    assert resolved and len(resolved) < len(hits)
+    assert all(z in (3, 4) and 3 <= t <= 6 for z, t in resolved)
+    # the walk the entry reports, replayed on the same child stream
+    for i, hit in enumerate(hits):
+        nodes = simulate(kern, 0, 6, RngStream(8).child(i)).nodes
+        first = next((t for t in range(1, 7) if nodes[t] in (3, 4)), None)
+        assert hit == (None if first is None else (nodes[first], first))
+
+
+def test_first_passages_unreachable_stop_in_one_step():
+    kern = kernel_from_network(cycle_network(6))
+    assert first_passages(kern, 0, lambda z: z == 3, RngStream(2), 25, 1) == [None] * 25
+
+
+def test_first_passages_same_at_any_worker_count():
+    kern = kernel_from_network(cycle_network(9))
+    args = (kern, 0, lambda z: z == 4, RngStream(31), 50, 40)
+    assert first_passages(*args, workers=1) == first_passages(*args, workers=2)
 
 
 def test_harmonic_defect_dirichlet():
