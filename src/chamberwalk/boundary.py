@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .buildings import A2Ball, SphericalA2, TreeBuilding, is_between
 from .coxeter import WeylGroup, chi, n_lambda, uniform_thickness
-from .netwalk import (MarkovKernel, RngStream, conductance_to_json, encode_node,
-                      first_passages)
+from .netwalk import MarkovKernel, RngStream, encode_node, first_passages
 from .stats import ChiSquareResult, chisquare_uniform, combine_chisquares
 
 
@@ -100,14 +99,6 @@ class ExactCheckReport:
     @property
     def verdict(self) -> bool:
         return self.checked > 0 and self.defect == 0
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "checked": self.checked,
-            "defect": conductance_to_json(self.defect),
-            "verdict": self.verdict,
-        }
 
 
 def _deep_ends(model: TreeBuilding, z, depth: int):
@@ -321,6 +312,7 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
     Lattice-class balls: stop at sigma-box = level and record the exit
     vertex; uniformity is tested within each lambda-class and the class
     statistics are summed.  The ball variant is flagged truncation-limited.
+    Walks run in one thread; ``workers`` is accepted and ignored.
     """
     if level < 1:
         raise ValueError("exit level must be at least 1")
@@ -330,7 +322,7 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
     if isinstance(model, TreeBuilding):
         sphere = model.sphere(o, level)
         hits = first_passages(ik.kernel(), o, lambda z: model.distance(o, z) >= level,
-                              rng, samples, horizon, workers)
+                              rng, samples, horizon)
         tally = Counter(model.geodesic(o, hit[0])[level] for hit in hits if hit is not None)
         if tally:
             stat = chisquare_uniform([tally.get(v, 0) for v in sphere])
@@ -346,7 +338,7 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
             if max(lam) == level
         }
         hits = first_passages(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
-                              rng, samples, horizon, workers)
+                              rng, samples, horizon)
         tally = Counter(hit[0] for hit in hits if hit is not None)
         if any(max(model.sigma(o, z)) != level for z in tally):
             raise AssertionError("walk skipped the exit level")

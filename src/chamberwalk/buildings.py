@@ -105,11 +105,7 @@ class TreeBuilding:
 
     def geodesic(self, u, v):
         """Vertex path from u to v through their last common ancestor."""
-        c = 0
-        for a, b in zip(u, v):
-            if a != b:
-                break
-            c += 1
+        c = self._branch_depth(u, v)
         down = [u[:k] for k in range(len(u), c, -1)]
         up = [v[:k] for k in range(c, len(v) + 1)]
         return down + up
@@ -128,9 +124,10 @@ class TreeBuilding:
         n = len(end) if depth is None else depth
         return [end[:k] for k in range(n + 1)]
 
-    def _branch_depth(self, x, end) -> int:
+    def _branch_depth(self, u, v) -> int:
+        """Length of the common prefix of two words (or ray words)."""
         c = 0
-        for a, b in zip(x, end):
+        for a, b in zip(u, v):
             if a != b:
                 break
             c += 1
@@ -155,14 +152,7 @@ class TreeBuilding:
         """Vertices of the geodesic line joining two distinct ends (truncated)."""
         if self.same_end(e1, e2):
             raise ValueError("ends coincide")
-        c = 0
-        for a, b in zip(e1, e2):
-            if a != b:
-                break
-            c += 1
-        side1 = [e1[:k] for k in range(len(e1), c, -1)]
-        side2 = [e2[:k] for k in range(c, len(e2) + 1)]
-        return side1 + side2
+        return self.geodesic(e1, e2)
 
     def distance_to_line(self, x, e1, e2) -> int:
         line = self.line_between(e1, e2)
@@ -175,12 +165,7 @@ class TreeBuilding:
         """beta_x(end1, end2) = h(x,z;end1) + h(x,z;end2), z on their line."""
         if self.same_end(e1, e2):
             raise ValueError("beta needs two distinct ends")
-        c = 0
-        for a, b in zip(e1, e2):
-            if a != b:
-                break
-            c += 1
-        z = e1[:c]  # the branch vertex lies on the line
+        z = e1[:self._branch_depth(e1, e2)]  # the branch vertex lies on the line
         h1 = self.busemann_h(x, z, e1)
         h2 = self.busemann_h(x, z, e2)
         return (h1[0] + h2[0],)

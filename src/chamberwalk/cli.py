@@ -2,10 +2,10 @@
 
 Every subcommand reads an optional JSON config file (flags win on
 conflict), runs, and emits one versioned JSON report, plus CSV tables
-with --format csv.  Reports carry no timestamps, worker counts stay out
-of the report body, and all Monte Carlo routines draw from per-index
-child streams, so a fixed --seed reproduces byte-identical output at
-any --workers value.
+with --format csv.  Reports carry no timestamps, and all Monte Carlo
+routines draw from per-index child streams, so a fixed --seed reproduces
+byte-identical output.  Walks run in one thread: --workers is validated
+and otherwise ignored.
 
 Exit codes: 0 every requested check passed, 1 a check failed, 2 the
 config or arguments were malformed, 3 a size guard refused the build.
@@ -91,7 +91,6 @@ class RunConfig:
     params: dict
     seed: int | None
     samples: int | None
-    workers: int
     out: str | None
     fmt: str
 
@@ -119,16 +118,20 @@ class RunConfig:
         return RngStream(int(self.seed))
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(str(path)).read_text())
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     params: dict = {}
     path = getattr(args, "config", None)
     if path:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise SchemaError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config file is not valid JSON: {exc}") from exc
+        doc = _read_json(path, "config")
         if not isinstance(doc, dict):
             raise SchemaError("config file must hold a JSON object")
         params.update(doc)
@@ -148,7 +151,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("json", "csv"):
         raise SchemaError(f"format must be json or csv, got {fmt!r}")
     return RunConfig(command=args.command, params=params, seed=seed,
-                     samples=samples, workers=workers, out=out, fmt=fmt)
+                     samples=samples, out=out, fmt=fmt)
 
 
 def _tuplify(value):
@@ -232,22 +235,25 @@ def _is_int(x) -> bool:
 
 # family name -> (argument label, or None where the argument is ignored; the
 # commands that take it: "network" for simulate, quotient and induce,
-# "lattice" for discretize; builder of (network, base node, built-in action
-# or None, node test)).  Cycles take their lattice action from --action.
+# "lattice" for discretize; the --action kinds that act on it; builder of
+# (network, base node, built-in action or None, node test)).  Cycles take
+# their lattice action from --action.
 FAMILIES = {
-    "cycle": ("cycle size", ("network", "lattice"),
+    "cycle": ("cycle size", ("network", "lattice"), ("rotation",),
               lambda n: (cycle_network(n), 0, None, range(n).__contains__)),
-    "path": ("path size", ("network",),
+    "path": ("path size", ("network",), (),
              lambda n: (path_network(n), 0, None, range(n).__contains__)),
-    "integer-line": (None, ("network",), lambda _: (integer_line_network(), 0, None, _is_int)),
-    "integer-sublattice": ("sublattice index", ("lattice",), lambda k: (
+    "integer-line": (None, ("network",), ("translation",),
+                     lambda _: (integer_line_network(), 0, None, _is_int)),
+    "integer-sublattice": ("sublattice index", ("lattice",), ("translation",), lambda k: (
         integer_line_network(), 0, IntegerTranslationAction(k), _is_int)),
-    "tree": ("tree thickness", ("network",), lambda q: (
+    "tree": ("tree thickness", ("network",), ("involution",), lambda q: (
         TreeBuilding(q).network(), (), None, InvolutionTreeAction(q + 1).contains)),
-    "free2-tree": (None, ("network", "lattice"), lambda _: _word_tree(FreeGroupTreeAction(2))),
-    "free-tree": ("free rank", ("network", "lattice"),
+    "free2-tree": (None, ("network", "lattice"), ("free",),
+                   lambda _: _word_tree(FreeGroupTreeAction(2))),
+    "free-tree": ("free rank", ("network", "lattice"), ("free",),
                   lambda r: _word_tree(FreeGroupTreeAction(r))),
-    "involution-tree": ("generator count", ("network", "lattice"),
+    "involution-tree": ("generator count", ("network", "lattice"), ("involution",),
                         lambda m: _word_tree(InvolutionTreeAction(m))),
 }
 
@@ -258,39 +264,40 @@ def family_setup(spec, kind: str):
     name, _, arg = str(spec).partition(":")
     if name not in FAMILIES or kind not in FAMILIES[name][1]:
         raise SchemaError(f"unknown {kind} family {spec!r}")
-    label, _, build = FAMILIES[name]
+    label, _, _, build = FAMILIES[name]
     return build(_positive_int(arg, label) if label else None)
+
+
+def _action_kind(family, spec) -> tuple[str, str]:
+    """(kind, argument) of an action name like rotation:2, refused unless
+    the family's FAMILIES entry lists that kind."""
+    name, _, arg = str(spec).partition(":")
+    kinds = FAMILIES[str(family).partition(":")[0]][2]
+    if name not in kinds:
+        raise SchemaError(f"{family} takes {' or '.join(kinds) or 'no'} actions, "
+                          f"not {spec!r}")
+    return name, arg
 
 
 def family_action(family: str, spec: str, net):
     """An invariant action on the family's network, from a name like rotation:2."""
-    name, _, arg = str(spec).partition(":")
+    name, arg = _action_kind(family, spec)
     if name == "translation":
         return IntegerTranslationAction(_positive_int(arg, "translation step"))
     if name == "rotation":
-        if str(family).partition(":")[0] != "cycle":
-            raise SchemaError("rotation actions act on cycle networks")
         r = _positive_int(arg, "rotation step") % len(net.nodes)
         if r == 0:
             raise SchemaError("rotation step must not be a multiple of the cycle size")
         return _rotation_action(len(net.nodes), r)
     if name == "free":
         return FreeGroupTreeAction(_positive_int(arg, "free rank"))
-    if name == "involution":
-        return InvolutionTreeAction(_positive_int(arg, "generator count"))
-    raise SchemaError(f"unknown action {spec!r}")
+    return InvolutionTreeAction(_positive_int(arg, "generator count"))
 
 
 def _finite_network(cfg: RunConfig):
     doc_path = cfg.param("network")
     if doc_path is not None:
-        try:
-            doc = json.loads(Path(str(doc_path)).read_text())
-        except OSError as exc:
-            raise SchemaError(f"cannot read network file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"network file is not valid JSON: {exc}") from exc
-        return network_from_json(doc)
+        return network_from_json(_read_json(doc_path, "network"))
     family = cfg.param("family")
     if family is None:
         raise SchemaError(f"{cfg.command} needs --family or --network")
@@ -521,11 +528,13 @@ def cmd_discretize(cfg: RunConfig) -> int:
     if family is None:
         raise SchemaError("discretize needs --family")
     net, base, action, _ = family_setup(family, "lattice")
+    spec = cfg.param("action")
     if action is None:
-        spec = cfg.param("action")
         if spec is None:
             raise SchemaError("cycle discretization needs --action rotation:r")
         action = family_action(family, str(spec), net)
+    elif spec is not None:
+        _action_kind(family, spec)   # the built-in action stays; a misfit is refused
     method = str(cfg.param("method", "auto"))
     rng = RngStream(int(cfg.seed)) if cfg.seed is not None else None
     mu = discretize_lattice(net, action, base, rng=rng,
@@ -792,8 +801,7 @@ def suite_hitting_tree(cfg: RunConfig, rng) -> list:
     levels = [int(level)] if level is not None else [1, 2, 3]
     checks = []
     for j, lam in enumerate(levels):
-        stats = boundary_hitting_mc(kernel, (), lam, samples, rng.child(j),
-                                    workers=cfg.workers)
+        stats = boundary_hitting_mc(kernel, (), lam, samples, rng.child(j))
         checks.append({
             "name": f"exit-level-{lam}",
             "samples": samples,
@@ -812,8 +820,7 @@ def suite_hitting_a2(cfg: RunConfig, rng) -> list:
     model = _ball(p, radius)
     kernel = IsotropicKernel(model)
     samples = cfg.sample_count(20000)
-    stats = boundary_hitting_mc(kernel, model.origin, level, samples,
-                                rng.child(0), workers=cfg.workers)
+    stats = boundary_hitting_mc(kernel, model.origin, level, samples, rng.child(0))
     return [{
         "name": f"exit-box-{level}",
         "samples": samples,
@@ -978,7 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int, help="master seed for anything stochastic")
     common.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    common.add_argument("--workers", type=int, help="worker threads (default 1)")
+    common.add_argument("--workers", type=int,
+                        help="accepted for compatibility; walks run in one thread")
     common.add_argument("--out", help="directory for report.json and extra files")
     common.add_argument("--format", choices=("json", "csv"), help="output format")
 

@@ -86,9 +86,6 @@ class RootSystem:
         )
         self.positive_roots: tuple[IVec, ...] = self._close_positive_roots()
         self.highest_root: IVec = max(self.positive_roots, key=lambda m: (sum(m), m))
-        # lambda_i in root coordinates: row (= column) i of the symmetric Gram inverse.
-        self.fundamental_coweights: tuple[Vec, ...] = tuple(
-            tuple(col) for col in solve_exact(self.gram, self.simple_roots))
         self._coset_reps = self._enumerate_coweight_cosets()
 
     # -- basic linear data -------------------------------------------------

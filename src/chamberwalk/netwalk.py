@@ -14,7 +14,6 @@ same code paths to tolerance checks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 import json
@@ -49,34 +48,6 @@ class RngStream:
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.key + tuple(indices))
-
-
-def parallel_map_indices(n: int, fn, workers: int = 1) -> list:
-    """Evaluate fn(0..n-1), splitting the index range over worker threads.
-
-    Results are returned in index order, so any merge over them is
-    independent of the worker count and of scheduling.
-    """
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    chunks = []
-    base = n // workers
-    extra = n % workers
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        chunks.append(range(start, start + size))
-        start += size
-
-    def run_chunk(idxs):
-        return [fn(i) for i in idxs]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_chunk, chunks))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
 
 
 # -- conductance values -------------------------------------------------------
@@ -346,13 +317,13 @@ def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Traject
 
 
 def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: int,
-                   horizon: int, workers: int = 1) -> list:
+                   horizon: int) -> list:
     """First passages of ``samples`` independent walks from ``start``.
 
     Entry i is (Z_t, t) for the first t in 1..horizon with stop(Z_t), or
     None where the horizon ran out; the start itself is never tested.  Walk
-    i draws from the child stream (i), so the list is the same for any
-    worker split.
+    i draws from the child stream (i), and the walks run one after another
+    in index order.
     """
 
     def one(i: int):
@@ -364,7 +335,7 @@ def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: i
                 return z, t
         return None
 
-    return parallel_map_indices(samples, one, workers)
+    return [one(i) for i in range(samples)]
 
 
 def occupation_counts(trajectory: Trajectory) -> dict:

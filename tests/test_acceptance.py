@@ -31,8 +31,8 @@ from chamberwalk.boundary import (
     refinement_check,
     special_subgroup_detect,
 )
-from chamberwalk.buildings import A2Ball, SphericalA2, TreeBuilding
-from chamberwalk.cli import generic_residue_colouring, main
+from chamberwalk.buildings import SphericalA2, TreeBuilding
+from chamberwalk.cli import _ball, generic_residue_colouring, main
 from chamberwalk.discretize import (
     discretize_lattice,
     harmonic_transfer_check,
@@ -49,15 +49,6 @@ from chamberwalk.netwalk import (
     path_network,
     reversibility_defect,
 )
-
-_MODELS: dict = {}
-
-
-def _model(key, build):
-    if key not in _MODELS:
-        _MODELS[key] = build()
-    return _MODELS[key]
-
 
 def _rotation(size, r):
     return FiniteAction(range(size), [tuple((i + r) % size for i in range(size))])
@@ -78,8 +69,8 @@ def test_tree_sphere_formula_matches_enumeration():
 
 def test_a2_ball_sphere_formula_matches_enumeration():
     t0 = time.time()
-    small = _model("ball-2-3", lambda: A2Ball(2, 3))
-    larger = _model("ball-3-2", lambda: A2Ball(3, 2))
+    small = _ball(2, 3)
+    larger = _ball(3, 2)
     expected_p2 = {(1, 0): 7, (0, 1): 7, (1, 1): 42}
     for ball, radius in ((small, 3), (larger, 2)):
         measure = CylinderMeasure(ball)
@@ -276,7 +267,7 @@ def test_tree_exit_frequencies_uniform():
 
 
 def test_a2_ball_exit_frequencies_uniform_with_truncation_flag():
-    ball = _model("ball-2-3", lambda: A2Ball(2, 3))
+    ball = _ball(2, 3)
     kernel = IsotropicKernel(ball)
     stats = boundary_hitting_mc(kernel, ball.origin, 2, 100000,
                                 RngStream(4041), workers=4)

@@ -123,7 +123,7 @@ START_NODES = {
 
 def test_start_nodes_cover_every_network_family():
     assert {f.partition(":")[0] for f in START_NODES} == {
-        name for name, (_, kinds, _) in FAMILIES.items() if "network" in kinds}
+        name for name, (_, kinds, _, _) in FAMILIES.items() if "network" in kinds}
 
 
 @pytest.mark.parametrize("family", sorted(START_NODES))
@@ -133,6 +133,36 @@ def test_simulate_refuses_a_start_outside_the_model(family, capsys):
     assert main(argv + [inside]) == 0
     assert main(argv + [outside]) == 2
     assert "not in the network" in capsys.readouterr().err
+
+
+# one spelling of each family, and one action of each kind
+FAMILY_NAMES = ["cycle:6", "path:4", "integer-line", "integer-sublattice:3", "tree:2",
+                "free2-tree", "free-tree:2", "involution-tree:3"]
+ACTION_NAMES = ["rotation:2", "translation:2", "free:2", "involution:3"]
+ACTION_CASES = [(command, family, action)
+                for command, kind in (("quotient", "network"), ("discretize", "lattice"))
+                for family in FAMILY_NAMES
+                if kind in FAMILIES[family.partition(":")[0]][1]
+                for action in ACTION_NAMES]
+
+
+def test_action_cases_cover_every_family_and_kind():
+    assert {f.partition(":")[0] for f in FAMILY_NAMES} == set(FAMILIES)
+    assert {a.partition(":")[0] for a in ACTION_NAMES} == {
+        k for _, _, kinds, _ in FAMILIES.values() for k in kinds}
+
+
+@pytest.mark.parametrize("command,family,action", ACTION_CASES)
+def test_family_action_pairs_exit_cleanly(command, family, action, capsys):
+    allowed = action.partition(":")[0] in FAMILIES[family.partition(":")[0]][2]
+    code = main([command, "--family", family, "--action", action])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if allowed:
+        assert code in (0, 1, 2, 3)
+    else:
+        assert code == 2
+        assert "actions, not" in err
 
 
 def test_tree_nlambda_guard_fires_before_any_sphere(monkeypatch, capsys):

@@ -23,7 +23,6 @@ from chamberwalk.netwalk import (
     kernel_from_network,
     network_from_json,
     occupation_counts,
-    parallel_map_indices,
     path_network,
     reversibility_defect,
     simulate,
@@ -111,19 +110,6 @@ def test_simulate_reproducible():
     assert t1.nodes[0] == 0
 
 
-def test_parallel_map_worker_independence():
-    kern = kernel_from_network(cycle_network(5))
-    base = RngStream(99)
-
-    def one(i):
-        return simulate(kern, 0, 20, base.child(i)).nodes
-
-    r1 = parallel_map_indices(40, one, workers=1)
-    r4 = parallel_map_indices(40, one, workers=4)
-    r8 = parallel_map_indices(40, one, workers=8)
-    assert r1 == r4 == r8
-
-
 def test_first_passages_never_test_the_start():
     # every walk starts inside the stop set; on a cycle of 6 the earliest
     # return is at t = 2, so no entry may read (0, 0) or (z, 1)
@@ -150,12 +136,6 @@ def test_first_passages_stop_at_the_first_hit_within_the_horizon():
 def test_first_passages_unreachable_stop_in_one_step():
     kern = kernel_from_network(cycle_network(6))
     assert first_passages(kern, 0, lambda z: z == 3, RngStream(2), 25, 1) == [None] * 25
-
-
-def test_first_passages_same_at_any_worker_count():
-    kern = kernel_from_network(cycle_network(9))
-    args = (kern, 0, lambda z: z == 4, RngStream(31), 50, 40)
-    assert first_passages(*args, workers=1) == first_passages(*args, workers=2)
 
 
 def test_harmonic_defect_dirichlet():
