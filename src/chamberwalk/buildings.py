@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 
 from .coxeter import WeylElement, WeylGroup, root_system
 from .errors import SizeGuardError
@@ -186,22 +187,6 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _matmul3(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def _adjugate3(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-
-
 def _det3(m) -> int:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -242,6 +227,11 @@ def _hnf_rows(rows):
     return tuple(tuple(r) for r in basis)
 
 
+def _triangular(m):
+    """m itself when upper triangular, else its Hermite form."""
+    return _hnf_rows(m) if m[1][0] or m[2][0] or m[2][1] else m
+
+
 def _canonical_class(rows, p: int):
     """Canonical matrix of the homothety class: Hermite form, divided by p
     until some entry is a p-unit."""
@@ -249,22 +239,6 @@ def _canonical_class(rows, p: int):
     while all(v % p == 0 for r in h for v in r):
         h = [[v // p for v in r] for r in h]
     return tuple(tuple(r) for r in h)
-
-
-def _sigma_valuations(c, p: int):
-    """Ascending elementary-divisor exponents of a 3x3 p-power-determinant
-    integer matrix, via gcd valuations of minors."""
-    e1 = min(_vp(v, p) for r in c for v in r if v)
-    pairs = ((0, 1), (0, 2), (1, 2))
-    m2 = None
-    for r0, r1 in pairs:
-        for c0, c1 in pairs:
-            minor = c[r0][c0] * c[r1][c1] - c[r0][c1] * c[r1][c0]
-            if minor:
-                v = _vp(minor, p)
-                m2 = v if m2 is None else min(m2, v)
-    e3 = _vp(abs(_det3(c)), p)
-    return e1, m2 - e1, e3 - m2
 
 
 class A2Ball:
@@ -289,15 +263,16 @@ class A2Ball:
         self.weyl = WeylGroup(self.root_system)
         cap = self.MAX_VERTICES if max_vertices is None else max_vertices
         self.origin = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        self._sublattice_mats = (
-            [((p, 0, 0), (0, 1, 0), (0, 0, 1))]
-            + [((1, a, 0), (0, p, 0), (0, 0, 1)) for a in range(p)]
-            + [((1, 0, b), (0, 1, c), (0, 0, p)) for b in range(p) for c in range(p)]
-        )
-        self._proj_points = (
-            [(1, a, b) for a in range(p) for b in range(p)]
-            + [(0, 1, c) for c in range(p)]
-            + [(0, 0, 1)]
+        # Upper-triangular moves s, rows (s0, s1, s2), (0, s3, s4), (0, 0, s5),
+        # with s x a basis of a neighbour of the class x: the p^2+p+1 index-p
+        # sublattices, then pL + Z vx for v = (1,a,b), (0,1,c), (0,0,1).
+        self._moves = tuple(
+            [(p, 0, 0, 1, 0, 1)]
+            + [(1, a, 0, p, 0, 1) for a in range(p)]
+            + [(1, 0, b, 1, c, p) for b in range(p) for c in range(p)]
+            + [(1, a, b, p, 0, p) for a in range(p) for b in range(p)]
+            + [(p, 0, 0, 1, c, p) for c in range(p)]
+            + [(p, 0, 0, p, 0, 1)]
         )
         verts = {self.origin}
         adj: dict = {}
@@ -324,13 +299,23 @@ class A2Ball:
     # -- local structure ---------------------------------------------------------
 
     def neighbor_classes(self, x):
-        """All 2(p^2+p+1) adjacent lattice classes, ball membership ignored."""
-        p = self.p
-        out = [_canonical_class(_matmul3(s, x), p) for s in self._sublattice_mats]
-        for v in self._proj_points:
-            w = [sum(v[i] * x[i][j] for i in range(3)) for j in range(3)]
-            rows = [[p * e for e in row] for row in x] + [w]
-            out.append(_canonical_class(rows, p))
+        """All 2(p^2+p+1) adjacent lattice classes, ball membership ignored.
+        A canonical x and every move s are upper triangular, so s x is too:
+        three reductions give its Hermite form, and the gcd of its entries
+        is the power of p that the homothety class drops."""
+        (a, b, c), (_, d, e), (_, _, f) = x
+        out = []
+        for s0, s1, s2, s3, s4, s5 in self._moves:
+            u, v, w = s0 * a, s0 * b + s1 * d, s0 * c + s1 * e + s2 * f
+            y, z, t = s3 * d, s3 * e + s4 * f, s5 * f
+            k = v // y
+            v -= k * y
+            w = (w - k * z) % t
+            z %= t
+            g = gcd(u, v, w, y, z, t)
+            if g > 1:
+                u, v, w, y, z, t = u // g, v // g, w // g, y // g, z // g, t // g
+            out.append(((u, v, w), (0, y, z), (0, 0, t)))
         return out
 
     def neighbors(self, x):
@@ -338,17 +323,31 @@ class A2Ball:
         return self._adj[x]
 
     def _sigma_from_origin(self, y):
-        e1, e2, e3 = _sigma_valuations(y, self.p)
-        return (e3 - e2, e2 - e1)
+        """sigma(origin, y) for y upper triangular with rows (a, b, c),
+        (0, d, e), (0, 0, f): elementary divisors from the p-adic valuations
+        of the gcds of its entries and of its 2x2 minors (only ad, ae,
+        be - cd, af, bf and df can be nonzero), and of det = adf."""
+        (a, b, c), (_, d, e), (_, _, f) = y
+        p = self.p
+        g1 = _vp(gcd(a, b, c, d, e, f), p)
+        g2 = _vp(gcd(a * d, a * e, b * e - c * d, a * f, b * f, d * f), p)
+        g3 = _vp(a * d * f, p)
+        return (g3 - 2 * g2 + g1, g2 - 2 * g1)
 
     def sigma(self, x, y):
         """Dominant coweight distance via elementary divisors; works for any
-        two lattice classes, in or out of the ball."""
+        two lattice classes, in or out of the ball.  A basis that is not
+        upper triangular is put in Hermite form; then y adj(x) is too."""
+        y = _triangular(y)
         if x == self.origin:
             return self._sigma_from_origin(y)
-        c = _matmul3(y, _adjugate3(x))
-        e1, e2, e3 = _sigma_valuations(c, self.p)
-        return (e3 - e2, e2 - e1)
+        (a, b, c), (_, d, e), (_, _, f) = _triangular(x)
+        (u, v, w), (_, s, t), (_, _, z) = y
+        # adj(x) has rows (df, -bf, be - cd), (0, af, -ae), (0, 0, ad)
+        return self._sigma_from_origin((
+            (u * d * f, (v * a - u * b) * f, u * (b * e - c * d) - v * a * e + w * a * d),
+            (0, s * a * f, (t * d - s * e) * a),
+            (0, 0, z * a * d)))
 
     def type_of(self, x) -> int:
         return _vp(_det3(x), self.p) % 3

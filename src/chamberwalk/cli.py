@@ -268,20 +268,14 @@ def family_setup(spec, kind: str):
     return build(_positive_int(arg, label) if label else None)
 
 
-def _action_kind(family, spec) -> tuple[str, str]:
-    """(kind, argument) of an action name like rotation:2, refused unless
-    the family's FAMILIES entry lists that kind."""
+def family_action(family: str, spec: str, net):
+    """An invariant action on the family's network, from a name like
+    rotation:2, refused unless the family's FAMILIES entry lists that kind."""
     name, _, arg = str(spec).partition(":")
     kinds = FAMILIES[str(family).partition(":")[0]][2]
     if name not in kinds:
         raise SchemaError(f"{family} takes {' or '.join(kinds) or 'no'} actions, "
                           f"not {spec!r}")
-    return name, arg
-
-
-def family_action(family: str, spec: str, net):
-    """An invariant action on the family's network, from a name like rotation:2."""
-    name, arg = _action_kind(family, spec)
     if name == "translation":
         return IntegerTranslationAction(_positive_int(arg, "translation step"))
     if name == "rotation":
@@ -465,16 +459,18 @@ def cmd_quotient(cfg: RunConfig) -> int:
         raise SchemaError("quotient needs --action")
     net = family_setup(family, "network")[0]
     action = family_action(family, str(spec), net)
+    finite = isinstance(action, FiniteAction)
+    if not finite and cfg.seed is None:
+        raise SchemaError(f"the invariance of the infinite action {spec} is checked "
+                          "by sampling; provide --seed")
     qnet = quotient_network(net, action)
     stationarity = check_stationary(qnet.kernel(), qnet.m_prime)
-    if isinstance(action, FiniteAction):
+    if finite:
         invariance = action_invariance_check(net, action)
-    elif cfg.seed is not None:
+    else:
         invariance = action_invariance_check(
             net, action, rng=RngStream(int(cfg.seed)).child(0),
             samples=cfg.sample_count(2000))
-    else:
-        invariance = None
     cov = covolume(net, action)
     law = None
     if cfg.seed is not None:
@@ -489,7 +485,7 @@ def cmd_quotient(cfg: RunConfig) -> int:
             "p_value": law_report.chi_square.p_value,
             "verdict": law_report.passes(),
         }
-    ok = stationarity == 0 and (invariance is None or invariance.verdict)
+    ok = stationarity == 0 and invariance.verdict
     if law is not None:
         ok = ok and law["verdict"]
     doc = qnet.network.to_json()
@@ -504,7 +500,7 @@ def cmd_quotient(cfg: RunConfig) -> int:
         "m_prime": {repr(x): conductance_to_json(w)
                     for x, w in sorted(qnet.m_prime.items(), key=lambda t: repr(t[0]))},
         "stationarity_defect": conductance_to_json(stationarity),
-        "invariance": None if invariance is None else {
+        "invariance": {
             "mode": invariance.mode,
             "checked": invariance.checked,
             "defect": conductance_to_json(invariance.defect),
@@ -533,8 +529,9 @@ def cmd_discretize(cfg: RunConfig) -> int:
         if spec is None:
             raise SchemaError("cycle discretization needs --action rotation:r")
         action = family_action(family, str(spec), net)
-    elif spec is not None:
-        _action_kind(family, spec)   # the built-in action stays; a misfit is refused
+    elif spec is not None and vars(family_action(family, str(spec), net)) != vars(action):
+        # vars() holds an action's defining data: letters and inverses, or k
+        raise SchemaError(f"--action {spec} is not the built-in action of {family}")
     method = str(cfg.param("method", "auto"))
     rng = RngStream(int(cfg.seed)) if cfg.seed is not None else None
     mu = discretize_lattice(net, action, base, rng=rng,

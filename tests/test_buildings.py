@@ -1,5 +1,7 @@
 """Tree, p-adic ball and projective-flag building models."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -253,6 +255,114 @@ def test_chambers_at_origin(ball22):
         assert ball22.sigma(ball22.origin, u) == (1, 0)
         assert ball22.sigma(ball22.origin, v) == (0, 1)
         assert ball22.sigma(u, v) in ((1, 0), (0, 1))
+
+
+# -- A2 ball against the general lattice routes --------------------------------------
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+                 for i in range(3))
+
+
+def _general_neighbors(x, p):
+    """Index-p sublattices s x, then pL + Zw for each projective point v and
+    w = v x, each canonicalized through the full Hermite-form route."""
+    subs = ([((p, 0, 0), (0, 1, 0), (0, 0, 1))]
+            + [((1, a, 0), (0, p, 0), (0, 0, 1)) for a in range(p)]
+            + [((1, 0, b), (0, 1, c), (0, 0, p)) for b in range(p) for c in range(p)])
+    points = ([(1, a, b) for a in range(p) for b in range(p)]
+              + [(0, 1, c) for c in range(p)] + [(0, 0, 1)])
+    out = [_canonical_class(_matmul(s, x), p) for s in subs]
+    for v in points:
+        w = [sum(v[i] * x[i][j] for i in range(3)) for j in range(3)]
+        out.append(_canonical_class([[p * e for e in r] for r in x] + [w], p))
+    return out
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _all_minors_sigma(c, p):
+    """Dominant coweight of any nonsingular 3x3 integer matrix from the
+    valuations of all its entries, all nine 2x2 minors and its determinant."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    minors = [c[r0][c0] * c[r1][c1] - c[r0][c1] * c[r1][c0]
+              for r0, r1 in pairs for c0, c1 in pairs]
+    g1 = min(_vp(v, p) for r in c for v in r if v)
+    g2 = min(_vp(m, p) for m in minors if m)
+    g3 = _vp(_det3(c), p)
+    return (g3 - 2 * g2 + g1, g2 - 2 * g1)
+
+
+def _adjugate(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return ((e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d))
+
+
+def _scramble(rows, rng):
+    """A basis of the same lattice: random unimodular row operations."""
+    rows = [list(r) for r in rows]
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        k = rng.choice([-2, -1, 1, 2])
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("p,radius", [(2, 2), (3, 1)])
+def test_neighbor_classes_match_general_route(p, radius, ball22):
+    ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
+    for x in ball.vertices:
+        assert ball.neighbor_classes(x) == _general_neighbors(x, p)
+
+
+@pytest.mark.parametrize("p,radius", [(2, 2), (3, 1), (5, 1)])
+def test_sigma_from_origin_matches_all_minors(p, radius, ball22):
+    ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
+    for y in ball.vertices:
+        assert ball._sigma_from_origin(y) == _all_minors_sigma(y, p)
+
+
+def test_sigma_matches_all_minors_of_y_adj_x(ball22):
+    rng = random.Random(41)
+    verts = ball22.vertices
+    for _ in range(300):
+        x, y = verts[rng.randrange(len(verts))], verts[rng.randrange(len(verts))]
+        assert ball22.sigma(x, y) == _all_minors_sigma(_matmul(y, _adjugate(x)), 2)
+
+
+def test_sigma_of_scrambled_basis_equals_hermite_form(ball22):
+    rng = random.Random(43)
+    verts = ball22.vertices
+    for _ in range(100):
+        x, y = verts[rng.randrange(len(verts))], verts[rng.randrange(len(verts))]
+        xs, ys = _scramble(x, rng), _scramble(y, rng)
+        assert _hnf_rows(ys) == y
+        assert ball22.sigma(x, ys) == ball22.sigma(xs, y) == ball22.sigma(x, y)
+        assert ball22.sigma(ball22.origin, ys) == ball22.sigma(ball22.origin, y)
+
+
+# sha256 of json.dumps(to_json(), sort_keys=True), the bytes of ball.json
+BALL_JSON_SHA256 = {
+    (2, 1): "ed2136aefb7b33525e001084a187ac1ea107cd25165c762d5207be1bd621edc9",
+    (2, 2): "7856157544b5d4013bf52737e29482e07dd9ce5bd7d417d6c01e7b0ce75875f5",
+    (3, 1): "43385834e0e03603e822b5264e5a26ba46a146377de8b89ecfc1cb8a61213076",
+}
+
+
+@pytest.mark.parametrize("p,radius", sorted(BALL_JSON_SHA256))
+def test_ball_json_is_pinned(p, radius, ball22):
+    ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
+    text = json.dumps(ball.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BALL_JSON_SHA256[(p, radius)]
 
 
 def _diag_class(p, a, b, c):

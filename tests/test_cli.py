@@ -199,6 +199,41 @@ def test_quotient_without_action_exits_2(capsys):
     assert main(["quotient", "--family", "cycle:6"]) == 2
 
 
+@pytest.mark.parametrize("family,action", [("tree:2", "involution:4"),
+                                           ("integer-line", "translation:2"),
+                                           ("free2-tree", "free:2")])
+def test_quotient_by_an_infinite_action_needs_a_seed(family, action, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("quotient built before the seed was checked")
+
+    monkeypatch.setattr("chamberwalk.cli.quotient_network", no_work)
+    assert main(["quotient", "--family", family, "--action", action]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+@pytest.mark.parametrize("family,action", [
+    ("free2-tree", "free:7"), ("free2-tree", "free:abc"), ("free-tree:3", "free:2"),
+    ("involution-tree:4", "involution:3"), ("involution-tree:4", "involution:x"),
+    ("integer-sublattice:3", "translation:4"), ("integer-sublattice:3", "translation:")])
+def test_discretize_refuses_an_action_other_than_the_built_in(family, action, capsys):
+    assert main(["discretize", "--family", family, "--action", action]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert action.partition(":")[2] in captured.err
+
+
+# the built-in actions: free2-tree is rank 2, the others take the family's argument
+@pytest.mark.parametrize("family,action", [
+    ("free2-tree", "free:2"), ("free-tree:3", "free:3"),
+    ("involution-tree:4", "involution:4"), ("integer-sublattice:3", "translation:3")])
+def test_discretize_accepts_the_built_in_action(family, action, capsys):
+    code, report = run_json(capsys, "discretize", "--family", family, "--action", action)
+    assert code == 0
+    assert run_json(capsys, "discretize", "--family", family) == (code, report)
+
+
 def test_induce_subset_outside_network_exits_2(capsys):
     assert main(["induce", "--family", "cycle:6", "--subset", "[0, 19]"]) == 2
 
