@@ -32,6 +32,7 @@ from .netwalk import (
     RngStream,
     first_passages,
     kernel_from_network,
+    uniform_blocks,
 )
 from .stats import ChiSquareResult, chisquare_expected
 
@@ -338,11 +339,11 @@ def quotient_law_check(qnet: QuotientNetwork, start, steps: int, samples: int,
     expected = exact_distribution_after(qkernel, qnet.project(start), steps)
     support = sorted(expected, key=repr)
     counts = {y: 0 for y in support}
-    gen = rng.generator()
+    uniforms = uniform_blocks(rng.generator(), samples * steps)
     for _ in range(samples):
         x = start
         for _ in range(steps):
-            x = ambient_kernel.sample_next(x, gen)
+            x = ambient_kernel.step(x, next(uniforms))
         xbar = qnet.project(x)
         if xbar not in counts:
             counts[xbar] = 0

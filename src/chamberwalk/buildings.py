@@ -180,6 +180,8 @@ class TreeBuilding:
 # -- p-adic lattice classes --------------------------------------------------------
 
 def _vp(n: int, p: int) -> int:
+    if n == 0:
+        raise ValueError("singular basis: 0 has no p-adic valuation")
     v = 0
     while n % p == 0:
         n //= p

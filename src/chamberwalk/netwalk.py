@@ -14,6 +14,7 @@ same code paths to tolerance checks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 import json
@@ -25,9 +26,36 @@ import numpy as np
 from .errors import SchemaError
 
 EXACT_SOLVE_LIMIT = 600
+FIRST_BLOCK, MAX_BLOCK = 4, 1024    # uniforms per draw in the walk loops
 
 
 # -- rng ---------------------------------------------------------------------
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), every constant
+# a np.uint32 so the arithmetic stays in uint32 under any promotion rules
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645    # PCG64's 128-bit multiplier
+_MASK128 = (1 << 128) - 1
+_SEED_CHUNK = 1024      # child streams hashed per numpy pass
+
+
+def _hashmix(value, hc, mult=_MULT_A):
+    """SeedSequence's hashmix of a uint32 array; advances the one-element
+    uint32 array ``hc`` of the hash constant in place."""
+    value = value ^ hc
+    hc *= mult
+    value = value * hc
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -48,6 +76,48 @@ class RngStream:
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.key + tuple(indices))
+
+    def child_states(self, count: int):
+        """Yield ``child(i).generator().bit_generator.state`` for i < count.
+
+        The same PCG64 states, bit for bit, without a SeedSequence per
+        child.  A child's entropy is this stream's, padded to the pool of
+        four words, then i; so SeedSequence mixes i into this stream's pool
+        with hash constants that depend only on the number of words before
+        it.  Only that last word and the output hash run per child, in
+        numpy passes of ``_SEED_CHUNK`` children, then PCG64's ``set_seed``
+        on Python ints.  A bad seed or key is refused with numpy's own
+        error, at the call.
+        """
+        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
+        # hashmix calls so far: one per pool word, 12 to mix the pool, and
+        # four per entropy word past the pool
+        words = [max(1, (int(n).bit_length() + 31) // 32) for n in (self.seed, *self.key)]
+        calls = 4 * (max(_POOL, words[0]) + sum(words[1:]))
+        hc = int(_INIT_A) * pow(int(_MULT_A), calls, 1 << 32) % (1 << 32)
+        return _pcg64_states(ss.pool.reshape(_POOL, 1), np.array([hc], np.uint32), count)
+
+
+def _pcg64_states(pool, hc, count: int):
+    """PCG64 states of children 0..count-1 from the shared pool and hash
+    constant ``hc`` (see RngStream.child_states)."""
+    for lo in range(0, count, _SEED_CHUNK):
+        child = np.arange(lo, min(lo + _SEED_CHUNK, count), dtype=np.uint32)
+        hci = hc.copy()
+        mixed = [_mix(pool[dst], _hashmix(child, hci)) for dst in range(_POOL)]
+        # generate_state(4, uint64): eight hashed uint32 words, paired low first
+        hco = np.array([_INIT_B], np.uint32)
+        out = [_hashmix(mixed[j % _POOL], hco, _MULT_B).astype(np.uint64)
+               for j in range(2 * _POOL)]
+        seed_hi, seed_lo, inc_hi, inc_lo = (
+            (out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(_POOL))
+        # PCG64's set_seed: inc = 2 initseq + 1, then two LCG steps from 0
+        # with the seed added in between
+        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
 
 
 # -- conductance values -------------------------------------------------------
@@ -209,6 +279,7 @@ class MarkovKernel:
         self.reversible_with = reversible_with
         self.is_exact = is_exact
         self._cache: dict = {}
+        self._compiled: dict = {}   # state -> (targets, cumulative floats)
         self._hitting: dict = {}    # hitting_matrix answers by absorbing tuple
         if self.nodes is not None:
             for x in self.nodes:
@@ -255,15 +326,27 @@ class MarkovKernel:
     def encode(self, x) -> bytes:
         return self._encode_fn(x)
 
-    def sample_next(self, x, gen: np.random.Generator):
+    def step(self, x, u: float):
+        """The state after x for a uniform u in [0, 1): the first target of
+        x's row whose running float sum of probabilities exceeds u, or the
+        row's last target where rounding leaves u past the total."""
+        compiled = self._compiled.get(x)
+        if compiled is None:
+            compiled = self._compiled[x] = self._compile(x)
+        targets, cum = compiled
+        return targets[bisect_right(cum, u)]
+
+    def _compile(self, x):
         row = self.row(x)
-        u = gen.random()
-        acc = 0.0
-        for y, p in row:
+        acc, cum = 0.0, []
+        for _, p in row:
             acc += float(p)
-            if u < acc:
-                return y
-        return row[-1][0]
+            cum.append(acc)
+        cum[-1] = float("inf")     # the fallback to the last target
+        return tuple(y for y, _ in row), cum
+
+    def sample_next(self, x, gen: np.random.Generator):
+        return self.step(x, gen.random())
 
 
 def kernel_from_network(net) -> MarkovKernel:
@@ -305,13 +388,19 @@ class Trajectory:
         return len(self.nodes) - 1
 
 
+def uniform_blocks(gen: np.random.Generator, count: int):
+    """``count`` uniforms from gen, drawn in blocks of at most ``MAX_BLOCK``;
+    for PCG64, ``gen.random(k)`` equals k calls of ``gen.random()``."""
+    for lo in range(0, count, MAX_BLOCK):
+        yield from gen.random(min(MAX_BLOCK, count - lo)).tolist()
+
+
 def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Trajectory:
     """Run ``steps`` transitions from ``start`` using the given stream."""
-    gen = rng.generator()
     x = start
     out = [x]
-    for _ in range(steps):
-        x = kernel.sample_next(x, gen)
+    for u in uniform_blocks(rng.generator(), steps):
+        x = kernel.step(x, u)
         out.append(x)
     return Trajectory(start=start, nodes=tuple(out), stream=rng)
 
@@ -323,19 +412,27 @@ def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: i
     Entry i is (Z_t, t) for the first t in 1..horizon with stop(Z_t), or
     None where the horizon ran out; the start itself is never tested.  Walk
     i draws from the child stream (i), and the walks run one after another
-    in index order.
+    in index order.  One generator takes each child's state in turn, and a
+    walk draws its uniforms in blocks of 4, 16, ... up to ``MAX_BLOCK``: the
+    stream is the walk's own, so the draws it leaves unused change nothing.
     """
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    step = kernel.step
 
-    def one(i: int):
-        gen = rng.child(i).generator()
-        z = start
-        for t in range(1, horizon + 1):
-            z = kernel.sample_next(z, gen)
-            if stop(z):
-                return z, t
+    def one(state):
+        bitgen.state = state
+        z, t, block = start, 0, FIRST_BLOCK
+        while t < horizon:
+            for u in gen.random(min(block, horizon - t)).tolist():
+                t += 1
+                z = step(z, u)
+                if stop(z):
+                    return z, t
+            block = min(4 * block, MAX_BLOCK)
         return None
 
-    return [one(i) for i in range(samples)]
+    return [one(state) for state in rng.child_states(samples)]
 
 
 def occupation_counts(trajectory: Trajectory) -> dict:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from chamberwalk import buildings
 from chamberwalk.buildings import (
     A2Ball,
     CylinderId,
@@ -348,6 +349,16 @@ def test_sigma_of_scrambled_basis_equals_hermite_form(ball22):
         assert _hnf_rows(ys) == y
         assert ball22.sigma(x, ys) == ball22.sigma(xs, y) == ball22.sigma(x, y)
         assert ball22.sigma(ball22.origin, ys) == ball22.sigma(ball22.origin, y)
+
+
+def test_sigma_refuses_a_singular_basis():
+    # 0 has no p-adic valuation; the division loop must not run on it
+    with pytest.raises(ValueError, match="singular basis"):
+        buildings._vp(0, 2)
+    assert buildings._vp(12, 2) == 2 and buildings._vp(-27, 3) == 3
+    ball = A2Ball(2, 1)
+    with pytest.raises(ValueError, match="singular basis"):
+        ball.sigma(ball.origin, ((1, 0, 0), (0, 0, 0), (0, 0, 1)))
 
 
 # sha256 of json.dumps(to_json(), sort_keys=True), the bytes of ball.json

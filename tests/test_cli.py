@@ -1,7 +1,11 @@
 """Command line behaviour: report contracts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,37 @@ def test_stochastic_suite_without_seed_exits_2(capsys):
 
 def test_simulate_without_seed_exits_2(capsys):
     assert main(["simulate", "--family", "cycle:6"]) == 2
+
+
+def run_python(*argv):
+    """A fresh interpreter on this package, killed after 60 s so that a
+    request which hangs fails its test instead of stalling the suite."""
+    src = str(Path(netwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("suite", ["hitting-tree", "return-times"])
+def test_negative_seed_exits_2_before_any_walk(suite):
+    done = run_python("-m", "chamberwalk.cli", "verify", "--suite", suite,
+                      "--seed", "-1", "--samples", "10")
+    assert done.returncode == 2
+    assert done.stderr == "bad request: expected non-negative integer\n"
+    assert done.stdout == ""
+
+
+def test_boundary_hitting_refuses_a_negative_seed():
+    done = run_python("-c", (
+        "from chamberwalk.boundary import IsotropicKernel, boundary_hitting_mc\n"
+        "from chamberwalk.buildings import TreeBuilding\n"
+        "from chamberwalk.netwalk import RngStream\n"
+        "try:\n"
+        "    boundary_hitting_mc(IsotropicKernel(TreeBuilding(2)), (), 2, 10, RngStream(-1))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ValueError: expected non-negative integer\n"
 
 
 def test_oversized_ball_exits_3(capsys):

@@ -1,14 +1,18 @@
 """Network and kernel layer: exact structure checks and reproducibility."""
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
+from chamberwalk.boundary import IsotropicKernel
+from chamberwalk.buildings import A2Ball, TreeBuilding
 from chamberwalk.errors import SchemaError
 from chamberwalk.netwalk import (
+    _SEED_CHUNK,
     FiniteNetwork,
     MarkovKernel,
     RngStream,
@@ -27,6 +31,7 @@ from chamberwalk.netwalk import (
     reversibility_defect,
     simulate,
     solve_exact,
+    uniform_blocks,
 )
 from chamberwalk.stats import chisquare_expected
 
@@ -136,6 +141,123 @@ def test_first_passages_stop_at_the_first_hit_within_the_horizon():
 def test_first_passages_unreachable_stop_in_one_step():
     kern = kernel_from_network(cycle_network(6))
     assert first_passages(kern, 0, lambda z: z == 3, RngStream(2), 25, 1) == [None] * 25
+
+
+# -- stream identity and the compiled walk step ----------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260825, 2**32 - 1, 2**32, 2**64 + 3, 2**130])
+@pytest.mark.parametrize("key", [(), (7,), (3, 2**40)])
+def test_child_states_equal_numpy_seed_sequence(seed, key):
+    rng = RngStream(seed, key)
+    states = list(rng.child_states(_SEED_CHUNK + 2))
+    assert len(states) == _SEED_CHUNK + 2
+    for i in [*range(0, _SEED_CHUNK, 97), _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1]:
+        assert states[i] == rng.child(i).generator().bit_generator.state
+
+
+def test_child_states_refuse_a_negative_seed_or_key_at_the_call():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        RngStream(-1).child_states(0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        RngStream(3, (-2,)).child_states(5)
+
+
+def test_block_draws_equal_scalar_draws():
+    scalar = RngStream(9).generator()
+    expected = [scalar.random() for _ in range(3000)]
+    assert list(uniform_blocks(RngStream(9).generator(), 3000)) == expected
+    gen = RngStream(9).generator()
+    assert gen.random(5).tolist() + gen.random(2995).tolist() == expected
+
+
+def _scan_step(row, u):
+    """The walk step as a linear scan of the row's running float sum."""
+    acc = 0.0
+    for y, p in row:
+        acc += float(p)
+        if u < acc:
+            return y
+    return row[-1][0]
+
+
+def _reference_first_passages(kernel, start, stop, rng, samples, horizon):
+    out = []
+    for i in range(samples):
+        gen = rng.child(i).generator()
+        z, hit = start, None
+        for t in range(1, horizon + 1):
+            z = _scan_step(kernel.row(z), gen.random())
+            if stop(z):
+                hit = (z, t)
+                break
+        out.append(hit)
+    return out
+
+
+def _tree_walks():
+    tree = TreeBuilding(2)
+    return (IsotropicKernel(tree).kernel(), (), lambda z: tree.distance((), z) >= 3,
+            RngStream(41, (2,)), 400, 4)
+
+
+def _ball_walks():
+    ball = A2Ball(2, 2)
+    o = ball.origin
+    return (IsotropicKernel(ball).kernel(), o, lambda z: max(ball.sigma(o, z)) >= 2,
+            RngStream(42), 300, 2)
+
+
+def _cycle_walks():
+    return (kernel_from_network(cycle_network(9)), 0, lambda z: z in (4, 5),
+            RngStream(43), _SEED_CHUNK + 40, 7)
+
+
+@pytest.mark.parametrize("walks", [_tree_walks, _ball_walks, _cycle_walks],
+                         ids=["tree", "a2-ball", "cycle"])
+def test_first_passages_equal_a_scalar_linear_scan_loop(walks):
+    kernel, start, stop, rng, samples, horizon = walks()
+    hits = first_passages(kernel, start, stop, rng, samples, horizon)
+    assert hits == _reference_first_passages(kernel, start, stop, rng, samples, horizon)
+    assert None in hits and any(hit is not None for hit in hits)
+
+
+def test_step_equals_the_linear_scan_at_every_cumulative_value():
+    tenth = Fraction(1, 10)
+    rows = {
+        0: [(0, Fraction(0)), (1, Fraction(1, 4)), (2, Fraction(0)), (3, Fraction(3, 4)),
+            (4, Fraction(0))],
+        1: [(y, tenth) for y in range(10)],    # float running sum ends below 1
+        2: [(2, Fraction(1))],
+    }
+    rows.update({x: [(x, Fraction(1))] for x in range(3, 10)})
+    exact = MarkovKernel.finite(rows)
+    floats = MarkovKernel.finite({0: [(0, 0.1), (1, 0.0), (2, 0.2), (3, 0.7)],
+                                  1: [(1, 1.0)], 2: [(2, 1.0)], 3: [(3, 1.0)]})
+    assert not floats.is_exact
+    below_one = math.nextafter(1.0, 0.0)
+    for kernel in (exact, floats):
+        for x in kernel.nodes:
+            row = kernel.row(x)
+            acc, points = 0.0, {0.0, below_one}
+            for _, p in row:
+                acc += float(p)
+                points |= {acc, math.nextafter(acc, 0.0), math.nextafter(acc, 2.0)}
+            for u in sorted(v for v in points if 0.0 <= v < 1.0):
+                assert kernel.step(x, u) == _scan_step(row, u), (x, u)
+    assert exact.step(1, below_one) == 9
+    assert exact.step(0, 0.25) == 3
+
+
+def test_sample_next_takes_one_uniform_per_step():
+    kern = kernel_from_network(cycle_network(6))
+    gen, ref = RngStream(4).generator(), RngStream(4).generator()
+    x = 0
+    for _ in range(200):
+        y = kern.sample_next(x, gen)
+        assert y == _scan_step(kern.row(x), ref.random())
+        x = y
+    assert gen.random() == ref.random()
 
 
 def test_harmonic_defect_dirichlet():
