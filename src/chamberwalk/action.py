@@ -59,7 +59,7 @@ class FiniteAction:
             new = []
             for g in frontier:
                 for h in gens:
-                    comp = tuple(h[g[i]] for i in range(n))
+                    comp = tuple([h[i] for i in g])
                     if comp not in seen:
                         if len(seen) >= GROUP_CLOSURE_LIMIT:
                             raise SizeGuardError("permutation group closure too large")

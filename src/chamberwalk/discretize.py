@@ -29,8 +29,8 @@ from .netwalk import (
     FiniteNetwork,
     MarkovKernel,
     RngStream,
+    _hitting_rows,
     first_passages,
-    hitting_matrix,
     kernel_from_network,
 )
 
@@ -60,7 +60,7 @@ def induced_kernel_exact(kernel: MarkovKernel, subset) -> MarkovKernel:
     returned kernel has ``is_exact`` False.
     """
     subset = list(subset)
-    alpha = hitting_matrix(kernel, subset)
+    alpha = _hitting_rows(kernel, subset)[1]
     rows = {}
     for x in subset:
         row: dict = {}
@@ -110,7 +110,7 @@ class HarmonicTransferReport:
 
 def harmonic_extension(kernel: MarkovKernel, subset, f: dict) -> dict:
     """h(x) = E_x f(S_0): the harmonic extension of f from the subset."""
-    alpha = hitting_matrix(kernel, list(subset))
+    alpha = _hitting_rows(kernel, subset)[1]
     return {
         x: sum((a * f[y] for y, a in alpha[x].items() if a != 0), Fraction(0))
         for x in kernel.nodes
@@ -308,7 +308,7 @@ def _integer_line_exact(net, action: IntegerTranslationAction, o: int,
         else:
             rows[x] = [(y, p) for y, p in kernel.row(x)]
     restricted = MarkovKernel.finite(rows)
-    alpha = hitting_matrix(restricted, absorbing)
+    alpha = _hitting_rows(restricted, absorbing)[1]
     row: dict = {}
     for z, p in kernel.row(o):
         for y, a in alpha[z].items():

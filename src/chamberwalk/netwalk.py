@@ -280,7 +280,7 @@ class MarkovKernel:
         self.is_exact = is_exact
         self._cache: dict = {}
         self._compiled: dict = {}   # state -> (targets, cumulative floats)
-        self._hitting: dict = {}    # hitting_matrix answers by absorbing tuple
+        self._hitting: dict = {}    # absorbing tuple -> (zero, sparse rows), see _hitting_rows
         if self.nodes is not None:
             for x in self.nodes:
                 self._validate_row(x, self.row(x))
@@ -352,17 +352,20 @@ class MarkovKernel:
 def kernel_from_network(net) -> MarkovKernel:
     """p(x, y) = a(x, y) / m(x); fails on isolated nodes."""
 
-    def row_fn(x):
-        mx = net.m(x)
+    def row(x, mx, nbrs):
         if mx == 0:
             raise ValueError(f"node {x!r} has m = 0, no kernel row")
-        return [(y, a / mx) for y, a in net.neighbors(x)]
+        return [(y, a / mx) for y, a in nbrs]
 
     if isinstance(net, FiniteNetwork):
         m = {x: net.m(x) for x in net.nodes}
-        rows = {x: row_fn(x) for x in net.nodes}
-        kern = MarkovKernel.finite(rows, reversible_with=m)
-        return kern
+        rows = {x: row(x, m[x], net.neighbors(x)) for x in net.nodes}
+        return MarkovKernel.finite(rows, reversible_with=m)
+
+    def row_fn(x):
+        nbrs = net.neighbors(x)     # LazyNetwork.m's sum, over the same sorted list
+        return row(x, sum((a for _, a in nbrs), Fraction(0)), nbrs)
+
     return MarkovKernel.lazy(row_fn, encode_fn=net.encode, is_exact=net.is_exact)
 
 
@@ -516,9 +519,18 @@ def solve_exact(rows, rhs_cols) -> list[list[Fraction]]:
     division): every augmented row is scaled to integers, elimination
     touches nonzero entries only and pivots on the diagonal, sparsest row
     first, taking another row only where no diagonal pivot is left; the
-    back substitution divides once per unknown.  Raises ValueError on a
+    back substitution divides once per nonzero of the solution, and every
+    other entry is one shared ``Fraction(0)``.  Raises ValueError on a
     singular system and past ``EXACT_SOLVE_LIMIT`` unknowns.
     """
+    zero = Fraction(0)
+    return [[col.get(i, zero) for i in range(len(rows))]
+            for col in _solve_sparse(rows, rhs_cols)]
+
+
+def _solve_sparse(rows, rhs_cols) -> list[dict]:
+    """solve_exact's elimination; each column x as {unknown: Fraction} holding
+    its nonzero entries only, in increasing order of the unknown."""
     n = len(rows)
     if n > EXACT_SOLVE_LIMIT:
         raise ValueError(f"exact solve limited to {EXACT_SOLVE_LIMIT} unknowns")
@@ -569,8 +581,14 @@ def solve_exact(rows, rhs_cols) -> list[list[Fraction]]:
         for r in holders[col]:
             if r != p and col in aug[r]:
                 clear(r, p, col)
-    return [[Fraction(aug[order[c]].get(n + j, 0), aug[order[c]][c]) for c in range(n)]
-            for j in range(len(rhs_cols))]
+    cols: list = [{} for _ in rhs_cols]
+    for c in range(n):      # each pivot row is now {c: d} plus its right-hand sides
+        row = aug[order[c]]
+        d = row[c]
+        for k, v in row.items():
+            if k >= n:
+                cols[k - n][c] = Fraction(v, d)
+    return cols
 
 
 def solve_float(rows, rhs_cols):
@@ -600,12 +618,25 @@ def hitting_matrix(kernel: MarkovKernel, absorbing) -> dict:
     lifetime; every call returns fresh dicts.
     """
     key = tuple(absorbing)
+    zero, rows = _hitting_rows(kernel, key)
+    return {x: {y: row.get(y, zero) for y in key} for x, row in rows.items()}
+
+
+def _hitting_rows(kernel: MarkovKernel, absorbing) -> tuple:
+    """(zero, {x: row}): hitting_matrix's answer as the kernel keeps it.
+
+    A row holds, in absorbing order, the entries that may be nonzero: {x: 1}
+    for x absorbing, {} where the absorbing set is out of reach, the nonzero
+    solution entries of an exact solve and every entry of a float one.  The
+    rows are shared with the kernel's memo; callers must not change them.
+    """
+    key = tuple(absorbing)
     if key not in kernel._hitting:
         kernel._hitting[key] = _solve_hitting(kernel, key)
-    return {x: dict(row) for x, row in kernel._hitting[key].items()}
+    return kernel._hitting[key]
 
 
-def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> dict:
+def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> tuple:
     nodes = kernel.nodes
     col_of = {y: j for j, y in enumerate(absorbing)}
     transient = [x for x in nodes if x not in col_of]
@@ -635,17 +666,25 @@ def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> dict:
             elif y in col_of:
                 rhs[col_of[y]][i] = rhs[col_of[y]].get(i, 0) + p
             # transitions into unreachable states lose their mass
-    cols = solve_exact(rows, rhs) if exact else solve_float(rows, rhs)[0]
+    if exact:
+        solved: list = [{} for _ in solvable]
+        for y, col in zip(absorbing, _solve_sparse(rows, rhs)):
+            for i, v in col.items():
+                solved[i][y] = v
+    else:   # every float entry, so that 0.0 and -0.0 keep their sign
+        cols = solve_float(rows, rhs)[0]
+        solved = [{y: cols[j][i] for j, y in enumerate(absorbing)}
+                  for i in range(len(solvable))]
 
     out: dict = {}
     for x in nodes:
         if x in col_of:
-            out[x] = {y: (one if y == x else zero) for y in absorbing}
+            out[x] = {x: one}
         elif x in idx:
-            out[x] = {y: cols[j][idx[x]] for j, y in enumerate(absorbing)}
+            out[x] = solved[idx[x]]
         else:
-            out[x] = {y: zero for y in absorbing}
-    return out
+            out[x] = {}
+    return zero, out
 
 
 def hitting_distribution(kernel: MarkovKernel, absorbing, start) -> dict:

@@ -1,5 +1,6 @@
 """Command line behaviour: report contracts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -80,6 +81,18 @@ def test_discretize_past_the_old_solve_limit_is_exact(capsys):
     assert report["symmetric"] is True and report["verdict"] is True
     assert {k: Fraction(v) for k, v in _rotation_law(report).items()} == {
         0: Fraction(1, 2), 2: Fraction(1, 4), 402: Fraction(1, 4)}
+
+
+@pytest.mark.parametrize("family, digest", [
+    # 202 unknowns and 202 absorbing nodes: an exact law
+    ("cycle:404", "1b213f0669b7ca9a6afa32606b1e1ac69a750d3c219f88cd4b6a65bad99daf13"),
+    # 605 unknowns, past EXACT_SOLVE_LIMIT: a float law
+    ("cycle:1210", "45ed354802776c21a7c598372f02f8d8309113d68a42f5e61d314ab632178833"),
+])
+def test_discretize_rotation_report_bytes_are_pinned(family, digest, capsys):
+    code, out = run_raw(capsys, "discretize", "--family", family, "--action", "rotation:2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_float_fallback_is_labelled(monkeypatch, capsys):

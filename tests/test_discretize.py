@@ -23,6 +23,7 @@ from chamberwalk.netwalk import (
     FiniteNetwork,
     MarkovKernel,
     RngStream,
+    cycle_network,
     hitting_matrix,
     integer_line_network,
     kernel_from_network,
@@ -119,6 +120,23 @@ def test_tower_property():
         direct = induced_kernel_exact(kernel, inner)
         for x in inner:
             assert dict(via_q.row(x)) == dict(direct.row(x))
+
+
+@pytest.mark.parametrize("n, r", [(24, 3), (90, 6), (404, 2)])
+def test_induced_kernel_on_a_cycle_orbit_matches_dense_hitting_rows(n, r):
+    orbit = FiniteAction(range(n), [tuple((i + r) % n for i in range(n))]).orbit(0)
+    q = induced_kernel_exact(kernel_from_network(cycle_network(n)), orbit)
+    # reference: q(x, .) = sum_z p(x, z) alpha(z, .) over dense hitting_matrix rows
+    kernel = kernel_from_network(cycle_network(n))
+    alpha = hitting_matrix(kernel, orbit)
+    for x in orbit:
+        row: dict = {}
+        for z, p in kernel.row(x):
+            for y, a in alpha[z].items():
+                if a != 0:
+                    row[y] = row.get(y, Fraction(0)) + p * a
+        assert q.row(x) == tuple(sorted(row.items(), key=lambda t: repr(t[0])))
+    assert q.is_exact
 
 
 def test_hitting_distributions_preserved():

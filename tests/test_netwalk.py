@@ -11,8 +11,10 @@ import pytest
 from chamberwalk.boundary import IsotropicKernel
 from chamberwalk.buildings import A2Ball, TreeBuilding
 from chamberwalk.errors import SchemaError
+from chamberwalk.discretize import induced_kernel_exact
 from chamberwalk.netwalk import (
     _SEED_CHUNK,
+    EXACT_SOLVE_LIMIT,
     FiniteNetwork,
     MarkovKernel,
     RngStream,
@@ -31,6 +33,7 @@ from chamberwalk.netwalk import (
     reversibility_defect,
     simulate,
     solve_exact,
+    solve_float,
     uniform_blocks,
 )
 from chamberwalk.stats import chisquare_expected
@@ -427,6 +430,79 @@ def test_hitting_matrix_follows_absorbing_order():
         assert list(backward[x]) == [4, 0]
         assert forward[x] == backward[x]
     assert backward[1] == {4: Fraction(1, 4), 0: Fraction(3, 4)}
+
+
+def _absorption_system(kern, absorbing, solvable):
+    """Sparse rows of I - P on the solvable states and sparse columns P(., y)
+    over the absorbing y, in the order hitting_matrix builds them."""
+    idx = {x: i for i, x in enumerate(solvable)}
+    rows = [{i: 1} for i in range(len(solvable))]
+    rhs = [{} for _ in absorbing]
+    for i, x in enumerate(solvable):
+        for y, p in kern.row(x):
+            if y in idx:
+                rows[i][idx[y]] = rows[i].get(idx[y], 0) - p
+            elif y in absorbing:
+                rhs[absorbing.index(y)][i] = p
+    return rows, rhs
+
+
+def test_hitting_matrix_with_many_absorbing_nodes_matches_a_dense_solve():
+    rng = random.Random(73)
+    for n in (9, 16, 23):
+        main = random_network(rng, n)
+        # nodes n and n + 1 form a component that cannot reach the absorbing set
+        net = FiniteNetwork(range(n + 2), [*((u, v, a) for u in main.nodes
+                                             for v, a in main.neighbors(u) if u <= v),
+                                           (n, n + 1, Fraction(3, 2))])
+        kern = kernel_from_network(net)
+        for size in (n // 2, n - 2):
+            absorbing = rng.sample(range(n), size)
+            solvable = [x for x in range(n) if x not in absorbing]
+            rows, rhs = _absorption_system(kern, absorbing, solvable)
+            dense = [[row.get(c, 0) for c in range(len(solvable))] for row in rows]
+            cols = solve_exact(dense, [[b.get(i, 0) for i in range(len(solvable))]
+                                       for b in rhs])
+            expected = {x: {y: Fraction(int(x == y)) for y in absorbing} for x in net.nodes}
+            for i, x in enumerate(solvable):
+                expected[x] = {y: cols[j][i] for j, y in enumerate(absorbing)}
+            alpha = hitting_matrix(kern, absorbing)
+            assert alpha == expected
+            assert all(list(alpha[x]) == absorbing for x in net.nodes)
+            assert all(type(v) is Fraction for row in alpha.values() for v in row.values())
+            assert alpha[n + 1] == {y: 0 for y in absorbing}
+
+
+def test_hitting_matrix_past_the_limit_returns_the_float_solve_bit_for_bit():
+    n = EXACT_SOLVE_LIMIT + 15
+    kern = kernel_from_network(path_network(n))
+    absorbing = [n - 1, 0, n // 2]
+    solvable = [x for x in range(n) if x not in absorbing]
+    cols, _ = solve_float(*_absorption_system(kern, absorbing, solvable))
+    alpha = hitting_matrix(kern, absorbing)
+    for i, x in enumerate(solvable):
+        assert list(alpha[x]) == absorbing
+        # hex tells 0.0 from -0.0 and compares every bit
+        assert [v.hex() for v in alpha[x].values()] == [col[i].hex() for col in cols]
+    assert sum(v == 0 for x in solvable for v in alpha[x].values()) >= len(solvable)
+    assert alpha[0] == {n - 1: 0.0, 0: 1.0, n // 2: 0.0}
+
+
+def test_mutating_a_hitting_matrix_leaves_the_induced_kernel_alone():
+    subset = [0, 3, 4, 8, 11]
+
+    def induced_rows(kern):
+        q = induced_kernel_exact(kern, subset)
+        return {x: q.row(x) for x in q.nodes}
+
+    expected = induced_rows(kernel_from_network(random_network(random.Random(79), 14)))
+    kern = kernel_from_network(random_network(random.Random(79), 14))
+    alpha = hitting_matrix(kern, subset)
+    for row in alpha.values():
+        for y in row:
+            row[y] = Fraction(7)
+    del alpha[subset[0]]
+    assert induced_rows(kern) == expected
 
 
 def test_hitting_memo_lives_with_its_kernel():
