@@ -18,6 +18,7 @@ q(pi(x), pi(y)) = sum over the orbit of y of p(x, y').
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 import json
@@ -31,8 +32,8 @@ from .netwalk import (
     MarkovKernel,
     RngStream,
     first_passages,
+    fixed_length_ends,
     kernel_from_network,
-    uniform_blocks,
 )
 from .stats import ChiSquareResult, chisquare_expected
 
@@ -339,15 +340,11 @@ def quotient_law_check(qnet: QuotientNetwork, start, steps: int, samples: int,
     expected = exact_distribution_after(qkernel, qnet.project(start), steps)
     support = sorted(expected, key=repr)
     counts = {y: 0 for y in support}
-    uniforms = uniform_blocks(rng.generator(), samples * steps)
-    for _ in range(samples):
-        x = start
-        for _ in range(steps):
-            x = ambient_kernel.step(x, next(uniforms))
+    ends = fixed_length_ends(ambient_kernel, start, steps, samples, rng.generator())
+    # each end's class, in the order the walks first reach it
+    for x, n in Counter(ends).items():
         xbar = qnet.project(x)
-        if xbar not in counts:
-            counts[xbar] = 0
-        counts[xbar] += 1
+        counts[xbar] = counts.get(xbar, 0) + n
     keys = sorted(counts, key=repr)
     res = chisquare_expected(
         [counts[k] for k in keys],

@@ -323,7 +323,9 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
         sphere = model.sphere(o, level)
         hits = first_passages(ik.kernel(), o, lambda z: model.distance(o, z) >= level,
                               rng, samples, horizon)
-        tally = Counter(model.geodesic(o, hit[0])[level] for hit in hits if hit is not None)
+        tally = Counter()
+        for z, c in Counter(hit[0] for hit in hits if hit is not None).items():
+            tally[model.geodesic(o, z)[level]] += c
         if tally:
             stat = chisquare_uniform([tally.get(v, 0) for v in sphere])
         else:

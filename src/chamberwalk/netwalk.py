@@ -38,9 +38,9 @@ _INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 _POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645    # PCG64's 128-bit multiplier
-_MASK128 = (1 << 128) - 1
-_SEED_CHUNK = 1024      # child streams hashed per numpy pass
+_SEED_CHUNK = 1024      # child streams hashed, and walks stepped, per numpy pass
+_TAIL = 32              # walks of a chunk left to finish one by one
+_LOCKSTEP_MIN = 128     # fewer fixed-length walks than this step one by one
 
 
 def _hashmix(value, hc, mult=_MULT_A):
@@ -77,17 +77,15 @@ class RngStream:
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.key + tuple(indices))
 
-    def child_states(self, count: int):
-        """Yield ``child(i).generator().bit_generator.state`` for i < count.
+    def _pool(self):
+        """(pool, hc): this stream's SeedSequence pool as a column of four
+        uint32 words, and the hash constant in a one-element uint32 array at
+        the point where a child's index would be mixed in.
 
-        The same PCG64 states, bit for bit, without a SeedSequence per
-        child.  A child's entropy is this stream's, padded to the pool of
-        four words, then i; so SeedSequence mixes i into this stream's pool
-        with hash constants that depend only on the number of words before
-        it.  Only that last word and the output hash run per child, in
-        numpy passes of ``_SEED_CHUNK`` children, then PCG64's ``set_seed``
-        on Python ints.  A bad seed or key is refused with numpy's own
-        error, at the call.
+        A child's entropy is this stream's, padded to the pool of four
+        words, then i; so SeedSequence mixes i into this pool with hash
+        constants that depend only on the number of words before it.  A bad
+        seed or key is refused with numpy's own error, here.
         """
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         # hashmix calls so far: one per pool word, 12 to mix the pool, and
@@ -95,29 +93,80 @@ class RngStream:
         words = [max(1, (int(n).bit_length() + 31) // 32) for n in (self.seed, *self.key)]
         calls = 4 * (max(_POOL, words[0]) + sum(words[1:]))
         hc = int(_INIT_A) * pow(int(_MULT_A), calls, 1 << 32) % (1 << 32)
-        return _pcg64_states(ss.pool.reshape(_POOL, 1), np.array([hc], np.uint32), count)
+        return ss.pool.reshape(_POOL, 1), np.array([hc], np.uint32)
+
+    def child_states(self, count: int):
+        """Yield ``child(i).generator().bit_generator.state`` for i < count:
+        the same PCG64 states, bit for bit, read from the arrays of
+        ``_pcg64_streams`` without a SeedSequence per child."""
+        pool, hc = self._pool()
+        chunks = (_pcg64_streams(pool, hc, lo, min(lo + _SEED_CHUNK, count))
+                  for lo in range(0, count, _SEED_CHUNK))
+        return (_pcg64_state(stream) for streams in chunks for stream in streams.T.tolist())
 
 
-def _pcg64_states(pool, hc, count: int):
-    """PCG64 states of children 0..count-1 from the shared pool and hash
-    constant ``hc`` (see RngStream.child_states)."""
-    for lo in range(0, count, _SEED_CHUNK):
-        child = np.arange(lo, min(lo + _SEED_CHUNK, count), dtype=np.uint32)
-        hci = hc.copy()
-        mixed = [_mix(pool[dst], _hashmix(child, hci)) for dst in range(_POOL)]
-        # generate_state(4, uint64): eight hashed uint32 words, paired low first
-        hco = np.array([_INIT_B], np.uint32)
-        out = [_hashmix(mixed[j % _POOL], hco, _MULT_B).astype(np.uint64)
-               for j in range(2 * _POOL)]
-        seed_hi, seed_lo, inc_hi, inc_lo = (
-            (out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(_POOL))
-        # PCG64's set_seed: inc = 2 initseq + 1, then two LCG steps from 0
-        # with the seed added in between
-        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
+def _pcg64_state(stream) -> dict:
+    """The ``bit_generator.state`` dict of one column of a streams array."""
+    s_hi, s_lo, i_hi, i_lo = stream
+    return {"bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+# PCG64 (M. E. O'Neill, HMC-CS-2014-0905) in uint64 halves: the 128-bit
+# multiplier, and the 32-bit halves of its low word for the high product
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(n) for n in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_M_HI, _M_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_M_LO1, _M_LO0 = _M_LO >> _U32, _M_LO & _LOW32
+
+
+def _pcg64_streams(pool, hc, lo: int, hi: int):
+    """PCG64 states of children lo..hi-1 of the stream with pool and hash
+    constant ``hc`` (see RngStream._pool), as a (4, hi - lo) uint64 array
+    of rows state high, state low, increment high, increment low."""
+    child = np.arange(lo, hi, dtype=np.uint32)
+    hci = hc.copy()
+    mixed = [_mix(pool[dst], _hashmix(child, hci)) for dst in range(_POOL)]
+    # generate_state(4, uint64): eight hashed uint32 words, paired low first
+    hco = np.array([_INIT_B], np.uint32)
+    out = [_hashmix(mixed[j % _POOL], hco, _MULT_B).astype(np.uint64)
+           for j in range(2 * _POOL)]
+    s_hi, s_lo, i_hi, i_lo = (out[2 * j] | (out[2 * j + 1] << _U32) for j in range(_POOL))
+    # PCG64's set_seed: inc = 2 initseq + 1, then two LCG steps from 0 with
+    # the seed added in between, i.e. state = inc + seed and one step
+    streams = np.stack([s_hi, s_lo, (i_hi << _U1) | (i_lo >> _U63), (i_lo << _U1) | _U1])
+    low = streams[1] + streams[3]
+    streams[0] += streams[2] + (low < streams[1])
+    streams[1] = low
+    _pcg64_step(streams)
+    return streams
+
+
+def _pcg64_step(streams) -> None:
+    """One LCG step, state = state * mult + inc mod 2**128, in place."""
+    s_hi, s_lo = streams[0], streams[1]
+    # the high word of s_lo * _M_LO, from 32-bit halves
+    a1, a0 = s_lo >> _U32, s_lo & _LOW32
+    p01, p10 = a0 * _M_LO1, a1 * _M_LO0
+    mid = (a0 * _M_LO0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry_hi = a1 * _M_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    low = s_lo * _M_LO
+    new_lo = low + streams[3]
+    s_hi *= _M_LO
+    s_hi += carry_hi + s_lo * _M_HI + streams[2] + (new_lo < low)
+    streams[1] = new_lo
+
+
+def _pcg64_random(streams):
+    """The next ``Generator.random()`` of every stream: one step, PCG64's
+    XSL-RR output, and its top 53 bits scaled to [0, 1)."""
+    _pcg64_step(streams)
+    s_hi = streams[0]
+    x = s_hi ^ streams[1]
+    rot = s_hi >> _U58
+    x = (x >> rot) | (x << ((_U64 - rot) & _U63))     # rotate right; rot 0 keeps x
+    return (x >> _U11) * 2.0**-53
 
 
 # -- conductance values -------------------------------------------------------
@@ -330,20 +379,22 @@ class MarkovKernel:
         """The state after x for a uniform u in [0, 1): the first target of
         x's row whose running float sum of probabilities exceeds u, or the
         row's last target where rounding leaves u past the total."""
-        compiled = self._compiled.get(x)
-        if compiled is None:
-            compiled = self._compiled[x] = self._compile(x)
-        targets, cum = compiled
+        targets, cum = self._compiled.get(x) or self._compile(x)
         return targets[bisect_right(cum, u)]
 
     def _compile(self, x):
-        row = self.row(x)
-        acc, cum = 0.0, []
-        for _, p in row:
-            acc += float(p)
-            cum.append(acc)
-        cum[-1] = float("inf")     # the fallback to the last target
-        return tuple(y for y, _ in row), cum
+        """(targets, running float sums) of x's row, built once per state;
+        the last sum is +inf, the fallback to the last target."""
+        compiled = self._compiled.get(x)
+        if compiled is None:
+            row = self.row(x)
+            acc, cum = 0.0, []
+            for _, p in row:
+                acc += float(p)
+                cum.append(acc)
+            cum[-1] = float("inf")
+            compiled = self._compiled[x] = (tuple(y for y, _ in row), cum)
+        return compiled
 
     def sample_next(self, x, gen: np.random.Generator):
         return self.step(x, gen.random())
@@ -408,34 +459,176 @@ def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Traject
     return Trajectory(start=start, nodes=tuple(out), stream=rng)
 
 
+class _RowTables:
+    """The states a kernel's walks reach, interned, with their rows as
+    padded numpy tables, so that many walks step in one numpy pass.
+
+    State i is ``states[i]``.  Once a walk stands at it, ``rows[i]`` holds
+    the target ids and running float sums of MarkovKernel._compile, and the
+    table rows ``cum[i]`` (padded with +inf) and ``nxt[i]`` (padded with the
+    last target) hold the same; ``(cum[cur] <= u).sum(1)`` is then
+    ``bisect_right`` on those floats.  ``stop`` is called once per state, for
+    states a walk reached only; ``stops`` keeps its answers, and
+    ``stopped_at`` copies them for the lockstep test.  The Python lists
+    serve the one-walk loops (``finish``, ``fixed_length_ends``); the numpy
+    tables are filled from them when a lockstep step first needs a state.
+    """
+
+    def __init__(self, kernel: MarkovKernel, start, stop=None) -> None:
+        self.kernel, self.stop = kernel, stop
+        self.ids: dict = {}
+        self.states: list = []
+        self.rows: list = []
+        self.stops: list = []
+        self.cum = np.full((0, 1), np.inf)
+        self.nxt = np.zeros((0, 1), np.intp)
+        self.ready = np.zeros(0, bool)           # table row filled
+        self.stopped_at = np.zeros(0, np.int8)  # stops as 0/1, -1 not yet known
+        self._intern(start)
+        self._grow(1, 1)
+
+    def _intern(self, x) -> int:
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.states)
+            self.states.append(x)
+            self.rows.append(None)
+            self.stops.append(None)
+        return i
+
+    def row(self, i: int):
+        if self.rows[i] is None:
+            targets, cum = self.kernel._compile(self.states[i])
+            self.rows[i] = (tuple(self._intern(y) for y in targets), cum)
+        return self.rows[i]
+
+    def test(self, i: int) -> bool:
+        if self.stops[i] is None:
+            self.stops[i] = bool(self.stop(self.states[i]))
+        return self.stops[i]
+
+    def step(self, cur, u):
+        """The ids after ids ``cur`` for uniforms ``u``, one per walk."""
+        missing = list(dict.fromkeys(cur[~self.ready[cur]].tolist()))
+        if missing:
+            rows = [self.row(i) for i in missing]
+            width = max(self.cum.shape[1], *(len(cum) for _, cum in rows))
+            self._grow(len(self.states), width)
+            for i, (targets, cum) in zip(missing, rows):
+                self.cum[i, :len(cum)] = cum
+                self.nxt[i] = targets[-1]
+                self.nxt[i, :len(targets)] = targets
+            self.ready[missing] = True
+        return self.nxt[cur, (self.cum[cur] <= u[:, None]).sum(1)]
+
+    def stopped(self, cur):
+        """Whether stop holds at each id of ``cur``."""
+        known = self.stopped_at[cur]
+        unknown = list(dict.fromkeys(cur[known < 0].tolist()))
+        if unknown:
+            self.stopped_at[unknown] = [self.test(i) for i in unknown]
+            known = self.stopped_at[cur]
+        return known == 1
+
+    def _grow(self, size: int, width: int) -> None:
+        """Make room for ``size`` states and rows of ``width`` targets."""
+        rows, cols = self.cum.shape
+        if size <= rows and width <= cols:
+            return
+        size = max(size, 2 * rows) if size > rows else rows
+        cum = np.full((size, width), np.inf)
+        cum[:rows, :cols] = self.cum
+        nxt = np.zeros((size, width), np.intp)
+        nxt[:rows, :cols] = self.nxt
+        nxt[:rows, cols:] = self.nxt[:, -1:]
+        self.cum, self.nxt = cum, nxt
+        self.ready = np.concatenate([self.ready, np.zeros(size - rows, bool)])
+        self.stopped_at = np.concatenate([self.stopped_at, np.full(size - rows, -1, np.int8)])
+
+    def finish(self, gen: np.random.Generator, i: int, t: int, horizon: int):
+        """One walk from id i at time t, drawn from gen in blocks of 4, 16,
+        ... up to ``MAX_BLOCK``: (Z_t, t) at its first stop, or None."""
+        rows, stops, block = self.rows, self.stops, FIRST_BLOCK
+        while t < horizon:
+            for u in gen.random(min(block, horizon - t)).tolist():
+                t += 1
+                targets, cum = rows[i] or self.row(i)
+                i = targets[bisect_right(cum, u)]
+                if stops[i] or (stops[i] is None and self.test(i)):
+                    return self.states[i], t
+            block = min(4 * block, MAX_BLOCK)
+        return None
+
+
 def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: int,
                    horizon: int) -> list:
     """First passages of ``samples`` independent walks from ``start``.
 
     Entry i is (Z_t, t) for the first t in 1..horizon with stop(Z_t), or
-    None where the horizon ran out; the start itself is never tested.  Walk
-    i draws from the child stream (i), and the walks run one after another
-    in index order.  One generator takes each child's state in turn, and a
-    walk draws its uniforms in blocks of 4, 16, ... up to ``MAX_BLOCK``: the
-    stream is the walk's own, so the draws it leaves unused change nothing.
+    None where the horizon ran out; the start itself is never tested, and
+    stop is called once per state reached.  Walk i draws from the child
+    stream (i).  The walks run in chunks of ``_SEED_CHUNK``; the walks of a
+    chunk take their states from ``_pcg64_streams`` and step together, one
+    ``_pcg64_random`` draw and one table step per time step, until at most
+    ``_TAIL`` of them are left.  Those finish one by one from their own
+    PCG64 states, in block draws (``_RowTables.finish``): each stream is
+    the walk's own, so every walk takes the same draws as alone.
     """
+    tables = _RowTables(kernel, start, stop)
+    pool, hc = rng._pool()
     gen = np.random.Generator(np.random.PCG64(0))
-    bitgen = gen.bit_generator
-    step = kernel.step
+    out: list = [None] * samples
+    for lo in range(0, samples, _SEED_CHUNK):
+        streams = _pcg64_streams(pool, hc, lo, min(lo + _SEED_CHUNK, samples))
+        walk = np.arange(lo, lo + streams.shape[1])
+        cur = np.zeros(len(walk), np.intp)
+        t = 0
+        while t < horizon and len(walk) > _TAIL:
+            t += 1
+            cur = tables.step(cur, _pcg64_random(streams))
+            hit = tables.stopped(cur)
+            if hit.any():
+                for w, i in zip(walk[hit].tolist(), cur[hit].tolist()):
+                    out[w] = (tables.states[i], t)
+                keep = ~hit
+                walk, cur, streams = walk[keep], cur[keep], streams[:, keep]
+        if t < horizon:
+            for w, i, stream in zip(walk.tolist(), cur.tolist(), streams.T.tolist()):
+                gen.bit_generator.state = _pcg64_state(stream)
+                out[w] = tables.finish(gen, i, t, horizon)
+    return out
 
-    def one(state):
-        bitgen.state = state
-        z, t, block = start, 0, FIRST_BLOCK
-        while t < horizon:
-            for u in gen.random(min(block, horizon - t)).tolist():
-                t += 1
-                z = step(z, u)
-                if stop(z):
-                    return z, t
-            block = min(4 * block, MAX_BLOCK)
-        return None
 
-    return [one(state) for state in rng.child_states(samples)]
+def fixed_length_ends(kernel: MarkovKernel, start, steps: int, samples: int,
+                      gen: np.random.Generator) -> list:
+    """The states of ``samples`` walks from ``start`` after ``steps`` steps
+    each, in walk order; walk i takes draws i*steps .. i*steps + steps - 1
+    of gen.
+
+    Chunks of at most ``_SEED_CHUNK`` walks and ``_SEED_CHUNK * MAX_BLOCK``
+    draws step together, one table step per time step.  Walks that would
+    make a chunk of fewer than ``_LOCKSTEP_MIN`` (long walks, or the last
+    few) run one after another in draws of at most ``MAX_BLOCK``, where a
+    numpy pass would cost more than their scalar steps.
+    """
+    tables = _RowTables(kernel, start)
+    chunk = min(_SEED_CHUNK, _SEED_CHUNK * MAX_BLOCK // max(steps, 1))
+    ends: list = []
+    while chunk >= _LOCKSTEP_MIN and samples - len(ends) >= _LOCKSTEP_MIN:
+        n = min(chunk, samples - len(ends))
+        uniforms = gen.random(n * steps).reshape(n, steps)
+        cur = np.zeros(n, np.intp)
+        for j in range(steps):
+            cur = tables.step(cur, uniforms[:, j])
+        ends += [tables.states[i] for i in cur.tolist()]
+    uniforms, rows = uniform_blocks(gen, (samples - len(ends)) * steps), tables.rows
+    while len(ends) < samples:
+        i = 0
+        for _ in range(steps):
+            targets, cum = rows[i] or tables.row(i)
+            i = targets[bisect_right(cum, next(uniforms))]
+        ends.append(tables.states[i])
+    return ends
 
 
 def occupation_counts(trajectory: Trajectory) -> dict:
@@ -688,5 +881,10 @@ def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> tuple:
 
 
 def hitting_distribution(kernel: MarkovKernel, absorbing, start) -> dict:
-    """Distribution over the absorbing set of the first absorption from start."""
-    return hitting_matrix(kernel, absorbing)[start]
+    """Distribution over the absorbing set of the first absorption from start:
+    ``hitting_matrix(kernel, absorbing)[start]``, with start's row alone
+    expanded (KeyError for a start that is not a node)."""
+    key = tuple(absorbing)
+    zero, rows = _hitting_rows(kernel, key)
+    row = rows[start]
+    return {y: row.get(y, zero) for y in key}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def chisquare_expected(counts, probs) -> ChiSquareResult:
     for i in support:
         expected = float(probs[i]) * total
         stat += (counts[i] - expected) ** 2 / expected
-    return ChiSquareResult(statistic=stat, dof=dof, p_value=float(chi2.sf(stat, dof)))
+    return ChiSquareResult(statistic=stat, dof=dof, p_value=float(chdtrc(dof, stat)))
 
 
 def chisquare_uniform(counts) -> ChiSquareResult:
@@ -60,4 +60,4 @@ def combine_chisquares(results) -> ChiSquareResult:
     if dof == 0:
         p = 0.0 if stat == float("inf") else 1.0
         return ChiSquareResult(stat, 0, p)
-    return ChiSquareResult(stat, dof, float(chi2.sf(stat, dof)))
+    return ChiSquareResult(stat, dof, float(chdtrc(dof, stat)))

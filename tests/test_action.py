@@ -1,6 +1,7 @@
 """Group actions, quotient networks, covolume and return-time statistics."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,10 +21,14 @@ from chamberwalk.action import (
 )
 from chamberwalk.errors import SchemaError
 from chamberwalk.netwalk import (
+    _SEED_CHUNK,
+    MarkovKernel,
     RngStream,
     cycle_network,
     integer_line_network,
+    kernel_from_network,
     path_network,
+    uniform_blocks,
 )
 
 
@@ -164,6 +169,48 @@ def test_quotient_law_c6_rot3():
     rep = quotient_law_check(qnet, start=0, steps=5, samples=20000, rng=RngStream(6))
     assert rep.passes(0.01)
     assert sum(rep.counts.values()) == 20000
+
+
+def _reference_quotient_counts(qnet, start, steps, samples, rng):
+    """quotient_law_check's tally as a scalar loop: one stream, walk after walk."""
+    kernel = kernel_from_network(qnet.ambient)
+    expected = exact_distribution_after(qnet.kernel(), qnet.project(start), steps)
+    counts = {y: 0 for y in sorted(expected, key=repr)}
+    uniforms = uniform_blocks(rng.generator(), samples * steps)
+    for _ in range(samples):
+        x = start
+        for _ in range(steps):
+            x = kernel.step(x, next(uniforms))
+        xbar = qnet.project(x)
+        if xbar not in counts:
+            counts[xbar] = 0
+        counts[xbar] += 1
+    return counts
+
+
+def _mislabelled_quotient():
+    # a quotient law with one class, so that the walk's other classes are
+    # added to counts in the order the walks first reach them
+    return SimpleNamespace(ambient=cycle_network(9),
+                           kernel=lambda: MarkovKernel.finite({"home": [("home", 1)]}),
+                           project=lambda x: "home" if x == 0 else x % 4)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (quotient_network(integer_line_network(), IntegerTranslationAction(3)), 0, 5,
+             2 * _SEED_CHUNK + 5, RngStream(13)),
+    lambda: (quotient_network(cycle_network(6), c6_rotation_action(2)), 1, 4, 700,
+             RngStream(14, (2,))),
+    lambda: (quotient_network(cycle_network(6), c6_rotation_action(3)), 0, 0, 40,
+             RngStream(15)),
+    lambda: (_mislabelled_quotient(), 0, 3, _SEED_CHUNK + 9, RngStream(16)),
+], ids=["line-mod-3", "cycle6-rot2", "no-steps", "new-keys"])
+def test_quotient_law_counts_equal_a_scalar_loop(case):
+    qnet, start, steps, samples, rng = case()
+    rep = quotient_law_check(qnet, start, steps, samples, rng)
+    expected = _reference_quotient_counts(qnet, start, steps, samples, rng)
+    assert list(rep.counts.items()) == list(expected.items())
+    assert sum(rep.counts.values()) == samples
 
 
 def test_return_time_z_mod_2z_deterministic():

@@ -6,6 +6,7 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chamberwalk.boundary import IsotropicKernel
@@ -13,14 +14,18 @@ from chamberwalk.buildings import A2Ball, TreeBuilding
 from chamberwalk.errors import SchemaError
 from chamberwalk.discretize import induced_kernel_exact
 from chamberwalk.netwalk import (
+    _LOCKSTEP_MIN,
     _SEED_CHUNK,
+    _TAIL,
     EXACT_SOLVE_LIMIT,
+    MAX_BLOCK,
     FiniteNetwork,
     MarkovKernel,
     RngStream,
     check_stationary,
     cycle_network,
     first_passages,
+    fixed_length_ends,
     harmonic_defect,
     hitting_distribution,
     hitting_matrix,
@@ -34,6 +39,10 @@ from chamberwalk.netwalk import (
     simulate,
     solve_exact,
     solve_float,
+    _RowTables,
+    _hitting_rows,
+    _pcg64_random,
+    _pcg64_state,
     uniform_blocks,
 )
 from chamberwalk.stats import chisquare_expected
@@ -174,6 +183,34 @@ def test_block_draws_equal_scalar_draws():
     assert gen.random(5).tolist() + gen.random(2995).tolist() == expected
 
 
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def test_vectorised_pcg64_draws_equal_generator_random():
+    rand = random.Random(61)
+    states = [(rand.getrandbits(128), rand.getrandbits(128) | 1) for _ in range(200)]
+    # the next state's top six bits are 0: XSL-RR rotates by 0
+    inc = rand.getrandbits(128) | 1
+    nxt = rand.getrandbits(122)
+    states.append(((nxt - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128, inc))
+    # the low word of state * mult plus the low word of inc carries
+    states.append((rand.getrandbits(128), (rand.getrandbits(64) << 64) | (2**64 - 1)))
+    states.append((2**128 - 1, 2**128 - 1))
+    streams = np.array([[s >> 64, s & (2**64 - 1), i >> 64, i & (2**64 - 1)]
+                        for s, i in states], dtype=np.uint64).T.copy()
+    gens = []
+    for column in streams.T.tolist():
+        gen = np.random.Generator(np.random.PCG64(0))
+        gen.bit_generator.state = _pcg64_state(column)
+        gens.append(gen)
+    for _ in range(3):
+        assert _pcg64_random(streams).tolist() == [g.random() for g in gens]
+        assert [_pcg64_state(c) for c in streams.T.tolist()] == \
+            [g.bit_generator.state for g in gens]
+    # the first draw of state 200 came from a next state with rotation 0
+    assert (states[200][0] * _PCG64_MULT + states[200][1]) % 2**128 >> 122 == 0
+
+
 def _scan_step(row, u):
     """The walk step as a linear scan of the row's running float sum."""
     acc = 0.0
@@ -216,6 +253,42 @@ def _cycle_walks():
             RngStream(43), _SEED_CHUNK + 40, 7)
 
 
+def _two_chunk_edges_walks():
+    return (kernel_from_network(cycle_network(7)), 0, lambda z: z == 3,
+            RngStream(44, (1,)), 2 * _SEED_CHUNK + 7, 12)
+
+
+def _long_return_walks():
+    # about a tenth of the walks is still out after 60 steps, fewer than
+    # _TAIL after some hundred lockstep steps; the rest finish one by one
+    return (kernel_from_network(cycle_network(400)), 0, lambda z: z == 0,
+            RngStream(45), 300, 40000)
+
+
+def _random_rows(rand, n, exact):
+    """Rows of 1 to 5 targets, some with probability zero, over range(n)."""
+    rows = {}
+    for x in range(n):
+        targets = rand.sample(range(n), rand.randint(1, 5))
+        weights = [rand.choice([0, 0, 1, 2, 3]) for _ in targets]
+        weights[rand.randrange(len(weights))] += 1
+        total = sum(weights)
+        rows[x] = [(y, Fraction(w, total) if exact else w / total)
+                   for y, w in zip(targets, weights)]
+    return MarkovKernel.finite(rows)
+
+
+def _ragged_exact_walks():
+    return (_random_rows(random.Random(46), 30, True), 0, lambda z: z % 7 == 6,
+            RngStream(46), 700, 25)
+
+
+def _ragged_float_walks():
+    kernel = _random_rows(random.Random(47), 30, False)
+    assert not kernel.is_exact
+    return kernel, 0, lambda z: z % 7 == 6, RngStream(47), 700, 25
+
+
 @pytest.mark.parametrize("walks", [_tree_walks, _ball_walks, _cycle_walks],
                          ids=["tree", "a2-ball", "cycle"])
 def test_first_passages_equal_a_scalar_linear_scan_loop(walks):
@@ -223,6 +296,53 @@ def test_first_passages_equal_a_scalar_linear_scan_loop(walks):
     hits = first_passages(kernel, start, stop, rng, samples, horizon)
     assert hits == _reference_first_passages(kernel, start, stop, rng, samples, horizon)
     assert None in hits and any(hit is not None for hit in hits)
+
+
+@pytest.mark.parametrize("walks", [_two_chunk_edges_walks, _long_return_walks,
+                                   _ragged_exact_walks, _ragged_float_walks],
+                         ids=["two-chunk-edges", "long-returns", "ragged-exact", "ragged-float"])
+def test_lockstep_chunks_tails_and_ragged_rows_equal_the_scalar_loop(walks):
+    kernel, start, stop, rng, samples, horizon = walks()
+    hits = first_passages(kernel, start, stop, rng, samples, horizon)
+    assert hits == _reference_first_passages(kernel, start, stop, rng, samples, horizon)
+    assert any(hit is not None for hit in hits)
+
+
+@pytest.mark.parametrize("steps, samples", [
+    (0, 5), (3, 2 * _SEED_CHUNK + _LOCKSTEP_MIN + 1), (3, _SEED_CHUNK + 9),
+    (_SEED_CHUNK * MAX_BLOCK // 200, 203), (_SEED_CHUNK * MAX_BLOCK // 100, 3),
+], ids=["no-steps", "lockstep-chunks", "scalar-rest", "short-chunk", "scalar-only"])
+def test_fixed_length_ends_equal_a_scalar_loop(steps, samples):
+    kernel = _random_rows(random.Random(49), 20, False)
+    gen, ref = RngStream(49).generator(), RngStream(49).generator()
+    ends = fixed_length_ends(kernel, 0, steps, samples, gen)
+    expected = []
+    for _ in range(samples):
+        x = 0
+        for u in ref.random(steps).tolist():
+            x = _scan_step(kernel.row(x), u)
+        expected.append(x)
+    assert ends == expected
+    assert gen.random() == ref.random()     # both took samples * steps draws
+
+
+def test_long_return_walks_reach_the_scalar_tail_after_lockstep_steps():
+    hits = first_passages(*_long_return_walks())
+    # more than _TAIL walks are out after 60 steps, so at least 60 steps ran
+    # in lockstep; the last walks run on to thousands of steps and the horizon
+    assert sum(hit is None or hit[1] > 60 for hit in hits) > _TAIL
+    assert None in hits and max(hit[1] for hit in hits if hit is not None) > 1000
+
+
+@pytest.mark.parametrize("horizon", [0, 1])
+@pytest.mark.parametrize("samples", [_TAIL - 3, _SEED_CHUNK + 5])
+def test_first_passages_at_horizons_zero_and_one(horizon, samples):
+    kernel = _random_rows(random.Random(48), 12, True)
+    stop = lambda z: z % 3 == 0     # noqa: E731
+    hits = first_passages(kernel, 4, stop, RngStream(48), samples, horizon)
+    assert hits == _reference_first_passages(kernel, 4, stop, RngStream(48), samples, horizon)
+    if horizon == 0:
+        assert hits == [None] * samples
 
 
 def test_step_equals_the_linear_scan_at_every_cumulative_value():
@@ -250,6 +370,30 @@ def test_step_equals_the_linear_scan_at_every_cumulative_value():
                 assert kernel.step(x, u) == _scan_step(row, u), (x, u)
     assert exact.step(1, below_one) == 9
     assert exact.step(0, 0.25) == 3
+
+
+def test_table_step_equals_the_linear_scan_at_every_cumulative_value():
+    tenth = Fraction(1, 10)
+    rows = {
+        0: [(0, Fraction(0)), (1, Fraction(1, 4)), (2, Fraction(0)), (3, Fraction(3, 4)),
+            (4, Fraction(0))],
+        1: [(y, tenth) for y in range(10)],    # float running sum ends below 1
+    }
+    rows.update({x: [(x, Fraction(1))] for x in range(2, 10)})
+    floats = {0: [(0, 0.1), (1, 0.0), (2, 0.2), (3, 0.7)], 1: [(1, 1.0)], 2: [(2, 1.0)],
+              3: [(3, 1.0)]}
+    for kernel in (MarkovKernel.finite(rows), MarkovKernel.finite(floats)):
+        for x in kernel.nodes:
+            row = kernel.row(x)
+            acc, points = 0.0, {0.0, math.nextafter(1.0, 0.0)}
+            for _, p in row:
+                acc += float(p)
+                points |= {acc, math.nextafter(acc, 0.0), math.nextafter(acc, 2.0)}
+            us = sorted(v for v in points if 0.0 <= v < 1.0)
+            # every walk stands at x with its own u, in one lockstep step
+            tables = _RowTables(kernel, x)
+            ids = tables.step(np.zeros(len(us), np.intp), np.array(us)).tolist()
+            assert [tables.states[i] for i in ids] == [_scan_step(row, u) for u in us]
 
 
 def test_sample_next_takes_one_uniform_per_step():
@@ -419,6 +563,33 @@ def test_hitting_matrix_repeat_is_equal_and_fresh():
     row[5] = Fraction(-1)
     assert hitting_matrix(kern, [0, 5]) == kept
     assert hitting_distribution(kern, [0, 5], 2) == kept[2]
+
+
+def test_hitting_distribution_is_the_hitting_matrix_row_and_leaves_the_memo_alone():
+    rand = random.Random(75)
+    main = random_network(rand, 14)
+    edges = [(u, v, a) for u in main.nodes for v, a in main.neighbors(u) if u <= v]
+    # nodes 14 and 15 cannot reach the absorbing set
+    edges.append((14, 15, Fraction(2)))
+    exact = kernel_from_network(FiniteNetwork(range(16), edges))
+    floats = kernel_from_network(FiniteNetwork(range(16), [(u, v, float(a))
+                                                         for u, v, a in edges]))
+    assert exact.is_exact and not floats.is_exact
+    absorbing = [9, 2, 5, 13]
+    for kern in (exact, floats):
+        alpha = hitting_matrix(kern, absorbing)
+        zero, rows = _hitting_rows(kern, absorbing)
+        memo = {x: dict(row) for x, row in rows.items()}
+        for x in kern.nodes:
+            dist = hitting_distribution(kern, iter(absorbing), x)
+            assert list(dist) == absorbing
+            assert [repr(v) for v in dist.values()] == [repr(v) for v in alpha[x].values()]
+            dist[absorbing[0]] = Fraction(-1)
+            del dist[absorbing[1]]
+        assert _hitting_rows(kern, absorbing) == (zero, memo)
+        assert hitting_matrix(kern, absorbing) == alpha
+        with pytest.raises(KeyError):
+            hitting_distribution(kern, absorbing, 16)
 
 
 def test_hitting_matrix_follows_absorbing_order():

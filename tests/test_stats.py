@@ -1,0 +1,27 @@
+"""Chi-square helpers: the survival function behind every p-value."""
+
+import math
+
+from scipy.special import chdtrc
+from scipy.stats import chi2
+
+from chamberwalk.stats import chisquare_expected, combine_chisquares
+
+
+def test_chdtrc_equals_chi2_sf_bit_for_bit_on_a_grid():
+    dofs = [1, 2, 3, 4, 5, 7, 10, 13, 20, 31, 50, 99, 100, 250, 1000, 4096]
+    xs = [0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 2.5, 10.0, 37.7, 100.0, 999.9,
+          1e4, 1e6, math.inf]
+    xs += [d * f for d in dofs for f in (0.5, 0.97, 1.0, 1.03, 2.0)]
+    for dof in dofs:
+        for x in xs:
+            assert float(chdtrc(dof, x)).hex() == float(chi2.sf(x, dof)).hex(), (dof, x)
+
+
+def test_p_values_come_from_the_chi_square_survival_function():
+    res = chisquare_expected([30, 50, 20], [0.25, 0.5, 0.25])
+    assert res.dof == 2 and res.statistic == 2.0
+    assert res.p_value == float(chi2.sf(2.0, 2))
+    both = combine_chisquares([res, res])
+    assert (both.statistic, both.dof) == (4.0, 4)
+    assert both.p_value == float(chi2.sf(4.0, 4))
