@@ -20,9 +20,10 @@ shallow, rather than extrapolating.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .coxeter import WeylElement, WeylGroup, root_system
 from .errors import SizeGuardError
@@ -234,13 +235,20 @@ def _triangular(m):
     return _hnf_rows(m) if m[1][0] or m[2][0] or m[2][1] else m
 
 
-def _canonical_class(rows, p: int):
-    """Canonical matrix of the homothety class: Hermite form, divided by p
-    until some entry is a p-unit."""
-    h = [list(r) for r in _hnf_rows(rows)]
-    while all(v % p == 0 for r in h for v in r):
-        h = [[v // p for v in r] for r in h]
-    return tuple(tuple(r) for r in h)
+def ball_size(p: int, radius: int) -> int:
+    """Vertices of the sigma-box max(sigma(o, y)) <= radius, counted by N_lambda:
+    1 at the origin, (p^2+p+1) p^(2(a-1)) on each wall class (a, 0) and (0, a),
+    and (p^2+p+1)(p^2+p) p^(2(a+b-2)) on each inner class (a, b)."""
+    q = p * p + p + 1
+    levels = range(1, radius + 1)
+    wall = sum(q * p ** (2 * (a - 1)) for a in levels)
+    inner = sum(q * (p * p + p) * p ** (2 * (a + b - 2)) for a in levels for b in levels)
+    return 1 + 2 * wall + inner
+
+
+# Candidates (frontier vertices x moves) one block of the shell build holds.
+_CANDIDATE_BLOCK = 1 << 13
+_INT64_MAX = 2 ** 63 - 1
 
 
 class A2Ball:
@@ -259,11 +267,20 @@ class A2Ball:
             raise ValueError(f"p must be prime, got {p}")
         if radius < 1 or radius > self.MAX_RADIUS:
             raise SizeGuardError(f"radius must be in 1..{self.MAX_RADIUS}")
+        cap = self.MAX_VERTICES if max_vertices is None else max_vertices
+        if ball_size(p, radius) > cap:
+            raise SizeGuardError(f"ball exceeds {cap} vertices")
+        # Moves have entries at most p and in-ball classes at most p^(2R), so
+        # the build's products and 2x2 minors stay below 4 p^(4R+2). A vertex
+        # key packs three diagonal valuations (at most 2R) and three
+        # off-diagonal entries (below p^(2R)); see _build.
+        if (4 * p ** (4 * radius + 2) > _INT64_MAX
+                or (2 * radius + 1) ** 3 * p ** (6 * radius) > _INT64_MAX):
+            raise SizeGuardError(f"ball entries at p = {p}, radius {radius} exceed int64")
         self.p = p
         self.radius = radius
         self.root_system = root_system("A2")
         self.weyl = WeylGroup(self.root_system)
-        cap = self.MAX_VERTICES if max_vertices is None else max_vertices
         self.origin = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         # Upper-triangular moves s, rows (s0, s1, s2), (0, s3, s4), (0, 0, s5),
         # with s x a basis of a neighbour of the class x: the p^2+p+1 index-p
@@ -276,27 +293,110 @@ class A2Ball:
             + [(p, 0, 0, 1, c, p) for c in range(p)]
             + [(p, 0, 0, p, 0, 1)]
         )
-        verts = {self.origin}
-        adj: dict = {}
-        queue = deque([self.origin])
-        while queue:
-            x = queue.popleft()
-            kept = []
-            for y in self.neighbor_classes(x):
-                if y in verts:
-                    kept.append(y)
-                    continue
-                if max(self._sigma_from_origin(y)) <= radius:
-                    if len(verts) >= cap:
-                        raise SizeGuardError(f"ball exceeds {cap} vertices")
-                    verts.add(y)
-                    queue.append(y)
-                    kept.append(y)
-            adj[x] = tuple(kept)
-        self.vertices = tuple(sorted(verts))
+        self._build()
+
+    def _build(self) -> None:
+        """Grow the ball a shell at a time on int64 arrays.
+
+        Every move is applied to a block of frontier vertices at once; each
+        vertex's neighbours are computed once, and the in-ball ones are both
+        its adjacency (in move order) and the next shell's candidates. A
+        vertex is one key with digits (v(a), b, c, v(d), e, v(f)) for rows
+        (a, b, c), (0, d, e), (0, 0, f): the diagonal is powers of p, so keys
+        sort as the vertex tuples do."""
+        p, radius = self.p, self.radius
+        moves = np.array(self._moves, dtype=np.int64)
+        per_block = max(1, _CANDIDATE_BLOCK // len(moves))
+        powers = np.array([p ** k for k in range(4 * radius + 3)], dtype=np.int64)
+        off, val = p ** (2 * radius), 2 * radius + 1
+
+        def digits(keys):
+            keys, vf = np.divmod(keys, val)
+            keys, e = np.divmod(keys, off)
+            keys, vd = np.divmod(keys, val)
+            va, keys = np.divmod(keys, off * off)
+            b, c = np.divmod(keys, off)
+            return va, b, c, vd, e, vf
+
+        def step(keys):
+            """In-ball neighbours of a block of vertices, vertex by vertex in
+            move order: their keys, sigma codes l1 (R+1) + l2, and counts."""
+            va, b, c, vd, e, vf = digits(keys)
+            a, d, f = powers[va], powers[vd], powers[vf]
+            a, b, c, d, e, f = (x[:, None] for x in (a, b, c, d, e, f))
+            s0, s1, s2, s3, s4, s5 = moves.T
+            # the reductions of neighbor_classes, on every candidate at once
+            u, v, w = s0 * a, s0 * b + s1 * d, s0 * c + s1 * e + s2 * f
+            y, z, t = s3 * d, s3 * e + s4 * f, s5 * f
+            k = v // y
+            v -= k * y
+            w = (w - k * z) % t
+            z %= t
+            # the diagonal and the gcds are powers of p: valuations by lookup
+            g = np.gcd(np.gcd(np.minimum(np.minimum(u, y), t), v), np.gcd(w, z))
+            minors = np.gcd(np.gcd(np.minimum(np.minimum(u * y, u * t), y * t), u * z),
+                            np.gcd(v * z - w * y, v * t))
+            g1, g2 = np.searchsorted(powers, g), np.searchsorted(powers, minors)
+            vu, vy, vt = (np.searchsorted(powers, x) for x in (u, y, t))
+            l1, l2 = vu + vy + vt - 2 * g2 + g1, g2 - 2 * g1
+            inside = (l1 <= radius) & (l2 <= radius)
+            g, g1 = g[inside], g1[inside]
+            kept = ((((((vu[inside] - g1) * off + v[inside] // g) * off + w[inside] // g)
+                      * val + vy[inside] - g1) * off + z[inside] // g) * val + vt[inside] - g1)
+            return kept, l1[inside] * (radius + 1) + l2[inside], inside.sum(axis=1)
+
+        size = ball_size(p, radius)
+        shell = np.zeros(1, dtype=np.int64)     # the origin: every digit 0
+        shell_sigma = np.zeros(1, dtype=np.int64)
+        before = shell[:0]
+        done, sigmas, nbrs, counts = [], [], [], []
+        found = 0
+        while len(shell):
+            found += len(shell)
+            if found > size:
+                raise AssertionError(f"shell build passed the {size} vertices N_lambda counts")
+            parts = [step(shell[lo:lo + per_block]) for lo in range(0, len(shell), per_block)]
+            kept = np.concatenate([k for k, _, _ in parts])
+            kept_sigma = np.concatenate([s for _, s, _ in parts])
+            done.append(shell)
+            sigmas.append(shell_sigma)
+            nbrs.append(kept)
+            counts.extend(n for _, _, n in parts)
+            # the next shell: in-ball neighbours in neither this shell nor the last
+            order = np.argsort(kept)
+            kept, kept_sigma = kept[order], kept_sigma[order]
+            first = np.ones(len(kept), dtype=bool)
+            first[1:] = kept[1:] != kept[:-1]
+            kept, kept_sigma = kept[first], kept_sigma[first]
+            known = np.sort(np.concatenate([before, shell]))
+            fresh = known[np.searchsorted(known, kept).clip(max=len(known) - 1)] != kept
+            before, shell, shell_sigma = shell, kept[fresh], kept_sigma[fresh]
+
+        if found != size:
+            raise AssertionError(f"shell build found {found} vertices, N_lambda counts {size}")
+        keys, sigma = np.concatenate(done), np.concatenate(sigmas)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        va, b, c, vd, e, vf = digits(sorted_keys)
+        self.vertices = verts = tuple(
+            ((a, b, c), (0, d, e), (0, 0, f)) for a, b, c, d, e, f in zip(
+                *(x.tolist() for x in (powers[va], b, c, powers[vd], e, powers[vf]))))
+        self._types = ((va + vd + vf) % 3).tolist()
+        # an object array lists the neighbours by reference, with no int per entry
+        nbr = np.fromiter(verts, dtype=object, count=len(verts))[
+            np.searchsorted(sorted_keys, np.concatenate(nbrs))].tolist()
+        adj, start = {}, 0
+        for i, end in zip(np.searchsorted(sorted_keys, keys).tolist(),
+                          np.cumsum(np.concatenate(counts)).tolist()):
+            adj[verts[i]] = tuple(nbr[start:end])
+            start = end
         self._adj = adj
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._partition_cache: dict = {}
+        self._index = {v: i for i, v in enumerate(verts)}
+        part: dict = {}
+        l1, l2 = np.divmod(sigma[order], radius + 1)
+        for v, lam in zip(verts, zip(l1.tolist(), l2.tolist())):
+            part.setdefault(lam, []).append(v)
+        self._partition_cache: dict = {self.origin: part}
 
     # -- local structure ---------------------------------------------------------
 
@@ -398,7 +498,7 @@ class A2Ball:
             "p": self.p,
             "radius": self.radius,
             "vertices": [[list(r) for r in v] for v in self.vertices],
-            "types": [self.type_of(v) for v in self.vertices],
+            "types": list(self._types),
             "edges": sorted(
                 [self._index[x], self._index[y]]
                 for x in self.vertices for y in self._adj[x] if x < y

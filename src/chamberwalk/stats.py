@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.special import chdtrc
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    """The chi-square survival function. scipy.special is imported here, not
+    at module level: it is most of the package's import time, and only
+    commands that compute a p-value need it."""
+    from scipy.special import chdtrc
+
+    return float(chdtrc(dof, stat))
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,7 @@ def chisquare_expected(counts, probs) -> ChiSquareResult:
     for i in support:
         expected = float(probs[i]) * total
         stat += (counts[i] - expected) ** 2 / expected
-    return ChiSquareResult(statistic=stat, dof=dof, p_value=float(chdtrc(dof, stat)))
+    return ChiSquareResult(statistic=stat, dof=dof, p_value=_chi2_sf(dof, stat))
 
 
 def chisquare_uniform(counts) -> ChiSquareResult:
@@ -60,4 +67,4 @@ def combine_chisquares(results) -> ChiSquareResult:
     if dof == 0:
         p = 0.0 if stat == float("inf") else 1.0
         return ChiSquareResult(stat, 0, p)
-    return ChiSquareResult(stat, dof, float(chdtrc(dof, stat)))
+    return ChiSquareResult(stat, dof, _chi2_sf(dof, stat))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -13,14 +14,25 @@ from chamberwalk.buildings import (
     CylinderId,
     SphericalA2,
     TreeBuilding,
-    _canonical_class,
     _det3,
     _hnf_rows,
+    ball_size,
     is_between,
     refines,
 )
+from chamberwalk.boundary import CylinderMeasure
+from chamberwalk.cli import main
 from chamberwalk.coxeter import n_lambda, uniform_thickness
 from chamberwalk.errors import SizeGuardError
+
+
+def _canonical_class(rows, p):
+    """Canonical matrix of the homothety class: Hermite form, divided by p
+    until some entry is a p-unit."""
+    h = [list(r) for r in _hnf_rows(rows)]
+    while all(v % p == 0 for r in h for v in r):
+        h = [[v // p for v in r] for r in h]
+    return tuple(tuple(r) for r in h)
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +386,129 @@ def test_ball_json_is_pinned(p, radius, ball22):
     ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
     text = json.dumps(ball.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BALL_JSON_SHA256[(p, radius)]
+
+
+# -- the shell build against the breadth-first build it replaced ---------------------
+
+
+def _bfs_ball(ball):
+    """The breadth-first build A2Ball used before its shell build: vertices,
+    adjacency in move order, and the sigma partition around the origin, each
+    from the per-vertex neighbor_classes and _sigma_from_origin."""
+    origin, radius = ball.origin, ball.radius
+    verts = {origin}
+    adj = {}
+    queue = deque([origin])
+    while queue:
+        x = queue.popleft()
+        kept = []
+        for y in ball.neighbor_classes(x):
+            if y in verts:
+                kept.append(y)
+                continue
+            if max(ball._sigma_from_origin(y)) <= radius:
+                verts.add(y)
+                queue.append(y)
+                kept.append(y)
+        adj[x] = tuple(kept)
+    vertices = tuple(sorted(verts))
+    part = {}
+    for y in vertices:
+        part.setdefault(ball._sigma_from_origin(y), []).append(y)
+    index = {v: i for i, v in enumerate(vertices)}
+    doc = {
+        "family": "a2ball",
+        "p": ball.p,
+        "radius": radius,
+        "vertices": [[list(r) for r in v] for v in vertices],
+        "types": [_vp(_det3(v), ball.p) % 3 for v in vertices],
+        "edges": sorted([index[x], index[y]] for x in vertices for y in adj[x] if x < y),
+    }
+    return vertices, adj, part, doc
+
+
+@pytest.mark.parametrize("p,radius", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_shell_build_equals_the_breadth_first_build(p, radius, ball22):
+    ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
+    vertices, adj, part, doc = _bfs_ball(ball)
+    assert ball.vertices == vertices
+    for x in vertices:
+        assert ball.neighbors(x) == adj[x]
+    assert list(ball.sigma_partition(ball.origin).items()) == list(part.items())
+    assert ball.to_json() == doc
+
+
+def test_build_sigma_equals_all_minors(ball22):
+    part = ball22.sigma_partition(ball22.origin)
+    assert sum(len(v) for v in part.values()) == len(ball22.vertices)
+    for lam, verts in part.items():
+        for y in verts:
+            assert _all_minors_sigma(y, 2) == lam
+
+
+def test_neighbors_are_the_stored_vertex_objects(ball22):
+    stored = {id(v) for v in ball22.vertices}
+    for x in ball22.vertices:
+        assert all(id(y) in stored for y in ball22.neighbors(x))
+        assert all(y is ball22.vertices[ball22._index[y]] for y in ball22.neighbors(x))
+
+
+@pytest.mark.parametrize("p,radius", [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])
+def test_ball_size_closed_form(p, radius, ball22):
+    ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
+    measure = CylinderMeasure(ball)
+    box = [(a, b) for a in range(radius + 1) for b in range(radius + 1) if (a, b) != (0, 0)]
+    assert ball_size(p, radius) == len(ball.vertices)
+    assert ball_size(p, radius) == 1 + sum(measure.n_lambda(lam) for lam in box)
+
+
+def _refuse_build(self):
+    raise AssertionError("the build ran past a size guard")
+
+
+def test_size_guard_counts_before_building(monkeypatch):
+    monkeypatch.setattr(A2Ball, "_build", _refuse_build)
+    with pytest.raises(SizeGuardError, match="ball exceeds 56 vertices"):
+        A2Ball(2, 1, max_vertices=56)
+    with pytest.raises(AssertionError, match="past a size guard"):
+        A2Ball(2, 1, max_vertices=57)
+    with pytest.raises(SizeGuardError, match="ball exceeds 300000 vertices"):
+        A2Ball(1009, 1)
+
+
+def test_int64_bound_refusal_through_max_vertices(monkeypatch):
+    monkeypatch.setattr(A2Ball, "_build", _refuse_build)
+    # p = 19 is the largest prime whose radius-1 ball fits MAX_VERTICES
+    with pytest.raises(AssertionError, match="past a size guard"):
+        A2Ball(19, 1)
+    with pytest.raises(AssertionError, match="past a size guard"):
+        A2Ball(3, 2)
+    assert ball_size(1009, 1) < 10 ** 13
+    with pytest.raises(SizeGuardError, match="exceed int64"):
+        A2Ball(1009, 1, max_vertices=10 ** 13)
+
+
+def test_refused_ball_exits_3_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(A2Ball, "_build", _refuse_build)
+    assert main(["ball", "--p", "1009", "--radius", "1"]) == 3
+    assert capsys.readouterr().err == "size guard: ball exceeds 300000 vertices\n"
+
+
+# sha256 of the files `ball --out` writes, as before the shell build
+BALL_OUT_SHA256 = {
+    (2, 2): {"ball.json": "eac4076f53b387627ee8fd8654afe7b1b9853853e8e8660e495062299a58d751",
+             "report.json": "d9c1cd2ed3d7b88ddb216c1b04488f8c472f6493c6a8f2dc17a399b2434a540b"},
+    (3, 1): {"ball.json": "22cac8963ce1d6640098f4270c84c09f4e265ae2e29c9f868d3e88539fec1b77",
+             "report.json": "76b4017cf90bedd1094443d4664642dd9e035e430a45fc8084cc2cb404427bb8"},
+}
+
+
+@pytest.mark.parametrize("p,radius", sorted(BALL_OUT_SHA256))
+def test_ball_out_files_are_pinned(p, radius, tmp_path, capsys):
+    assert main(["ball", "--p", str(p), "--radius", str(radius), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, digest in BALL_OUT_SHA256[(p, radius)].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def _diag_class(p, a, b, c):
