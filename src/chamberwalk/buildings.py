@@ -391,7 +391,6 @@ class A2Ball:
             adj[verts[i]] = tuple(nbr[start:end])
             start = end
         self._adj = adj
-        self._index = {v: i for i, v in enumerate(verts)}
         part: dict = {}
         l1, l2 = np.divmod(sigma[order], radius + 1)
         for v, lam in zip(verts, zip(l1.tolist(), l2.tolist())):
@@ -493,6 +492,7 @@ class A2Ball:
         return FiniteNetwork(self.vertices, edges)
 
     def to_json(self) -> dict:
+        index = {v: i for i, v in enumerate(self.vertices)}
         return {
             "family": "a2ball",
             "p": self.p,
@@ -500,7 +500,7 @@ class A2Ball:
             "vertices": [[list(r) for r in v] for v in self.vertices],
             "types": list(self._types),
             "edges": sorted(
-                [self._index[x], self._index[y]]
+                [index[x], index[y]]
                 for x in self.vertices for y in self._adj[x] if x < y
             ),
         }

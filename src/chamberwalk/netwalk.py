@@ -95,15 +95,6 @@ class RngStream:
         hc = int(_INIT_A) * pow(int(_MULT_A), calls, 1 << 32) % (1 << 32)
         return ss.pool.reshape(_POOL, 1), np.array([hc], np.uint32)
 
-    def child_states(self, count: int):
-        """Yield ``child(i).generator().bit_generator.state`` for i < count:
-        the same PCG64 states, bit for bit, read from the arrays of
-        ``_pcg64_streams`` without a SeedSequence per child."""
-        pool, hc = self._pool()
-        chunks = (_pcg64_streams(pool, hc, lo, min(lo + _SEED_CHUNK, count))
-                  for lo in range(0, count, _SEED_CHUNK))
-        return (_pcg64_state(stream) for streams in chunks for stream in streams.T.tolist())
-
 
 def _pcg64_state(stream) -> dict:
     """The ``bit_generator.state`` dict of one column of a streams array."""
@@ -317,6 +308,18 @@ def _is_exact_number(p) -> bool:
     return isinstance(p, (Fraction, int))
 
 
+def _cumulative(row):
+    """(targets, running float sums) of a kernel row; the last sum is +inf,
+    so a uniform that rounding leaves past the total takes the last target.
+    The walk step for a uniform u is ``targets[bisect_right(sums, u)]``."""
+    acc, cum = 0.0, []
+    for _, p in row:
+        acc += float(p)
+        cum.append(acc)
+    cum[-1] = float("inf")
+    return tuple(y for y, _ in row), cum
+
+
 class MarkovKernel:
     """Transition kernel with finite rows, over a finite or lazy state space."""
 
@@ -328,7 +331,6 @@ class MarkovKernel:
         self.reversible_with = reversible_with
         self.is_exact = is_exact
         self._cache: dict = {}
-        self._compiled: dict = {}   # state -> (targets, cumulative floats)
         self._hitting: dict = {}    # absorbing tuple -> (zero, sparse rows), see _hitting_rows
         if self.nodes is not None:
             for x in self.nodes:
@@ -375,29 +377,11 @@ class MarkovKernel:
     def encode(self, x) -> bytes:
         return self._encode_fn(x)
 
-    def step(self, x, u: float):
-        """The state after x for a uniform u in [0, 1): the first target of
-        x's row whose running float sum of probabilities exceeds u, or the
-        row's last target where rounding leaves u past the total."""
-        targets, cum = self._compiled.get(x) or self._compile(x)
-        return targets[bisect_right(cum, u)]
-
-    def _compile(self, x):
-        """(targets, running float sums) of x's row, built once per state;
-        the last sum is +inf, the fallback to the last target."""
-        compiled = self._compiled.get(x)
-        if compiled is None:
-            row = self.row(x)
-            acc, cum = 0.0, []
-            for _, p in row:
-                acc += float(p)
-                cum.append(acc)
-            cum[-1] = float("inf")
-            compiled = self._compiled[x] = (tuple(y for y, _ in row), cum)
-        return compiled
-
     def sample_next(self, x, gen: np.random.Generator):
-        return self.step(x, gen.random())
+        """The state after x for one uniform of gen: the walk step of
+        ``_cumulative``, with nothing kept between calls."""
+        targets, cum = _cumulative(self.row(x))
+        return targets[bisect_right(cum, gen.random())]
 
 
 def kernel_from_network(net) -> MarkovKernel:
@@ -442,36 +426,20 @@ class Trajectory:
         return len(self.nodes) - 1
 
 
-def uniform_blocks(gen: np.random.Generator, count: int):
-    """``count`` uniforms from gen, drawn in blocks of at most ``MAX_BLOCK``;
-    for PCG64, ``gen.random(k)`` equals k calls of ``gen.random()``."""
-    for lo in range(0, count, MAX_BLOCK):
-        yield from gen.random(min(MAX_BLOCK, count - lo)).tolist()
-
-
-def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Trajectory:
-    """Run ``steps`` transitions from ``start`` using the given stream."""
-    x = start
-    out = [x]
-    for u in uniform_blocks(rng.generator(), steps):
-        x = kernel.step(x, u)
-        out.append(x)
-    return Trajectory(start=start, nodes=tuple(out), stream=rng)
-
-
 class _RowTables:
     """The states a kernel's walks reach, interned, with their rows as
     padded numpy tables, so that many walks step in one numpy pass.
 
     State i is ``states[i]``.  Once a walk stands at it, ``rows[i]`` holds
-    the target ids and running float sums of MarkovKernel._compile, and the
-    table rows ``cum[i]`` (padded with +inf) and ``nxt[i]`` (padded with the
-    last target) hold the same; ``(cum[cur] <= u).sum(1)`` is then
+    the target ids and running float sums of ``_cumulative``, and the table
+    rows ``cum[i]`` (padded with +inf) and ``nxt[i]`` (padded with the last
+    target) hold the same; ``(cum[cur] <= u).sum(1)`` is then
     ``bisect_right`` on those floats.  ``stop`` is called once per state, for
     states a walk reached only; ``stops`` keeps its answers, and
     ``stopped_at`` copies them for the lockstep test.  The Python lists
-    serve the one-walk loops (``finish``, ``fixed_length_ends``); the numpy
-    tables are filled from them when a lockstep step first needs a state.
+    serve the one-walk loops (``finish``, and ``simulate``, which records
+    every state); the numpy tables are filled from them when a lockstep
+    step first needs a state.
     """
 
     def __init__(self, kernel: MarkovKernel, start, stop=None) -> None:
@@ -498,7 +466,7 @@ class _RowTables:
 
     def row(self, i: int):
         if self.rows[i] is None:
-            targets, cum = self.kernel._compile(self.states[i])
+            targets, cum = _cumulative(self.kernel.row(self.states[i]))
             self.rows[i] = (tuple(self._intern(y) for y in targets), cum)
         return self.rows[i]
 
@@ -547,7 +515,9 @@ class _RowTables:
 
     def finish(self, gen: np.random.Generator, i: int, t: int, horizon: int):
         """One walk from id i at time t, drawn from gen in blocks of 4, 16,
-        ... up to ``MAX_BLOCK``: (Z_t, t) at its first stop, or None."""
+        ... up to ``MAX_BLOCK``: (id, t) at its first stop, or at the
+        horizon.  A block takes min(block, horizon - t) uniforms, so a walk
+        that reaches the horizon has drawn exactly horizon - t of them."""
         rows, stops, block = self.rows, self.stops, FIRST_BLOCK
         while t < horizon:
             for u in gen.random(min(block, horizon - t)).tolist():
@@ -555,9 +525,23 @@ class _RowTables:
                 targets, cum = rows[i] or self.row(i)
                 i = targets[bisect_right(cum, u)]
                 if stops[i] or (stops[i] is None and self.test(i)):
-                    return self.states[i], t
+                    return i, t
             block = min(4 * block, MAX_BLOCK)
-        return None
+        return i, t
+
+
+def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Trajectory:
+    """Run ``steps`` transitions from ``start`` using the given stream, its
+    uniforms drawn in blocks of ``MAX_BLOCK``."""
+    tables = _RowTables(kernel, start)
+    gen, rows, i, ids = rng.generator(), tables.rows, 0, [0]
+    for lo in range(0, steps, MAX_BLOCK):
+        for u in gen.random(min(MAX_BLOCK, steps - lo)).tolist():
+            targets, cum = rows[i] or tables.row(i)
+            i = targets[bisect_right(cum, u)]
+            ids.append(i)
+    states = tables.states
+    return Trajectory(start=start, nodes=tuple(states[i] for i in ids), stream=rng)
 
 
 def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: int,
@@ -595,7 +579,9 @@ def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: i
         if t < horizon:
             for w, i, stream in zip(walk.tolist(), cur.tolist(), streams.T.tolist()):
                 gen.bit_generator.state = _pcg64_state(stream)
-                out[w] = tables.finish(gen, i, t, horizon)
+                i, end = tables.finish(gen, i, t, horizon)
+                if tables.stops[i]:
+                    out[w] = (tables.states[i], end)
     return out
 
 
@@ -608,10 +594,11 @@ def fixed_length_ends(kernel: MarkovKernel, start, steps: int, samples: int,
     Chunks of at most ``_SEED_CHUNK`` walks and ``_SEED_CHUNK * MAX_BLOCK``
     draws step together, one table step per time step.  Walks that would
     make a chunk of fewer than ``_LOCKSTEP_MIN`` (long walks, or the last
-    few) run one after another in draws of at most ``MAX_BLOCK``, where a
-    numpy pass would cost more than their scalar steps.
+    few) run one after another through ``_RowTables.finish`` with a stop
+    that never holds, where a numpy pass would cost more than their scalar
+    steps.
     """
-    tables = _RowTables(kernel, start)
+    tables = _RowTables(kernel, start, lambda x: False)
     chunk = min(_SEED_CHUNK, _SEED_CHUNK * MAX_BLOCK // max(steps, 1))
     ends: list = []
     while chunk >= _LOCKSTEP_MIN and samples - len(ends) >= _LOCKSTEP_MIN:
@@ -621,13 +608,8 @@ def fixed_length_ends(kernel: MarkovKernel, start, steps: int, samples: int,
         for j in range(steps):
             cur = tables.step(cur, uniforms[:, j])
         ends += [tables.states[i] for i in cur.tolist()]
-    uniforms, rows = uniform_blocks(gen, (samples - len(ends)) * steps), tables.rows
     while len(ends) < samples:
-        i = 0
-        for _ in range(steps):
-            targets, cum = rows[i] or tables.row(i)
-            i = targets[bisect_right(cum, next(uniforms))]
-        ends.append(tables.states[i])
+        ends.append(tables.states[tables.finish(gen, 0, 0, steps)[0]])
     return ends
 
 

@@ -1,6 +1,7 @@
 """Group actions, quotient networks, covolume and return-time statistics."""
 
 from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +29,6 @@ from chamberwalk.netwalk import (
     integer_line_network,
     kernel_from_network,
     path_network,
-    uniform_blocks,
 )
 
 
@@ -172,15 +172,19 @@ def test_quotient_law_c6_rot3():
 
 
 def _reference_quotient_counts(qnet, start, steps, samples, rng):
-    """quotient_law_check's tally as a scalar loop: one stream, walk after walk."""
+    """quotient_law_check's tally as a scalar loop: one stream, walk after
+    walk, one uniform per step and a linear scan of the row's running float
+    sum."""
     kernel = kernel_from_network(qnet.ambient)
     expected = exact_distribution_after(qnet.kernel(), qnet.project(start), steps)
     counts = {y: 0 for y in sorted(expected, key=repr)}
-    uniforms = uniform_blocks(rng.generator(), samples * steps)
+    gen = rng.generator()
     for _ in range(samples):
         x = start
         for _ in range(steps):
-            x = kernel.step(x, next(uniforms))
+            row, u = kernel.row(x), gen.random()
+            sums = accumulate(float(p) for _, p in row)
+            x = next((y for (y, _), acc in zip(row, sums) if u < acc), row[-1][0])
         xbar = qnet.project(x)
         if xbar not in counts:
             counts[xbar] = 0

@@ -448,9 +448,10 @@ def test_build_sigma_equals_all_minors(ball22):
 
 def test_neighbors_are_the_stored_vertex_objects(ball22):
     stored = {id(v) for v in ball22.vertices}
+    by_value = {v: v for v in ball22.vertices}
     for x in ball22.vertices:
         assert all(id(y) in stored for y in ball22.neighbors(x))
-        assert all(y is ball22.vertices[ball22._index[y]] for y in ball22.neighbors(x))
+        assert all(y is by_value[y] for y in ball22.neighbors(x))
 
 
 @pytest.mark.parametrize("p,radius", [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])

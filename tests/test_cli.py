@@ -95,6 +95,24 @@ def test_discretize_rotation_report_bytes_are_pinned(family, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("simulate --family cycle:6 --steps 20000 --seed 3",
+     "2fdd1746b79750d967e983d9d7e0c72b002954db52a2c80e5a2c5bb9030cfc91"),
+    ("simulate --family tree:2 --steps 2000 --seed 11",
+     "6109c22cc61232cd58fe3cc65a7980af230a8be9162436c31a1bdb1f01afebd8"),
+    # fewer than _LOCKSTEP_MIN walks: every walk in the one-by-one rest
+    ("quotient --family cycle:6 --action rotation:3 --seed 1 --samples 100 --steps 5",
+     "86fda2f40834839300beabd6301c9a23ebf3e685ea05adc6fde349e50b711ac6"),
+    # walks too long for a lockstep chunk of _LOCKSTEP_MIN
+    ("quotient --family cycle:6 --action rotation:2 --seed 2 --samples 50 --steps 9000",
+     "37dd08026dc08953f7a803ac5288fbb8974ed100507207a3e246a6f652d2b438"),
+], ids=["simulate-cycle", "simulate-tree", "quotient-scalar-rest", "quotient-scalar-only"])
+def test_walk_report_bytes_are_pinned(argv, digest, capsys):
+    code, out = run_raw(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_float_fallback_is_labelled(monkeypatch, capsys):
     monkeypatch.setattr(netwalk, "EXACT_SOLVE_LIMIT", 4)
     code, report = run_json(capsys, "discretize", "--family", "cycle:24",

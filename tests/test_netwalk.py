@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import weakref
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -40,10 +41,11 @@ from chamberwalk.netwalk import (
     solve_exact,
     solve_float,
     _RowTables,
+    _cumulative,
     _hitting_rows,
     _pcg64_random,
     _pcg64_state,
-    uniform_blocks,
+    _pcg64_streams,
 )
 from chamberwalk.stats import chisquare_expected
 
@@ -145,7 +147,9 @@ def test_first_passages_stop_at_the_first_hit_within_the_horizon():
     assert all(z in (3, 4) and 3 <= t <= 6 for z, t in resolved)
     # the walk the entry reports, replayed on the same child stream
     for i, hit in enumerate(hits):
-        nodes = simulate(kern, 0, 6, RngStream(8).child(i)).nodes
+        gen, nodes = RngStream(8).child(i).generator(), [0]
+        for _ in range(6):
+            nodes.append(_scan_step(kern.row(nodes[-1]), gen.random()))
         first = next((t for t in range(1, 7) if nodes[t] in (3, 4)), None)
         assert hit == (None if first is None else (nodes[first], first))
 
@@ -161,8 +165,13 @@ def test_first_passages_unreachable_stop_in_one_step():
 @pytest.mark.parametrize("seed", [0, 1, 20260825, 2**32 - 1, 2**32, 2**64 + 3, 2**130])
 @pytest.mark.parametrize("key", [(), (7,), (3, 2**40)])
 def test_child_states_equal_numpy_seed_sequence(seed, key):
+    # the PCG64 states of the child streams, in two chunks as first_passages
+    # reads them, bit for bit those of a SeedSequence per child
     rng = RngStream(seed, key)
-    states = list(rng.child_states(_SEED_CHUNK + 2))
+    pool, hc = rng._pool()
+    streams = np.concatenate([_pcg64_streams(pool, hc, 0, _SEED_CHUNK),
+                              _pcg64_streams(pool, hc, _SEED_CHUNK, _SEED_CHUNK + 2)], axis=1)
+    states = [_pcg64_state(stream) for stream in streams.T.tolist()]
     assert len(states) == _SEED_CHUNK + 2
     for i in [*range(0, _SEED_CHUNK, 97), _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1]:
         assert states[i] == rng.child(i).generator().bit_generator.state
@@ -170,15 +179,15 @@ def test_child_states_equal_numpy_seed_sequence(seed, key):
 
 def test_child_states_refuse_a_negative_seed_or_key_at_the_call():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        RngStream(-1).child_states(0)
+        RngStream(-1)._pool()
+    kern = kernel_from_network(cycle_network(6))
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        RngStream(3, (-2,)).child_states(5)
+        first_passages(kern, 0, lambda z: z == 3, RngStream(3, (-2,)), 5, 10)
 
 
 def test_block_draws_equal_scalar_draws():
     scalar = RngStream(9).generator()
     expected = [scalar.random() for _ in range(3000)]
-    assert list(uniform_blocks(RngStream(9).generator(), 3000)) == expected
     gen = RngStream(9).generator()
     assert gen.random(5).tolist() + gen.random(2995).tolist() == expected
 
@@ -366,10 +375,13 @@ def test_step_equals_the_linear_scan_at_every_cumulative_value():
             for _, p in row:
                 acc += float(p)
                 points |= {acc, math.nextafter(acc, 0.0), math.nextafter(acc, 2.0)}
+            targets, cum = _cumulative(row)
             for u in sorted(v for v in points if 0.0 <= v < 1.0):
-                assert kernel.step(x, u) == _scan_step(row, u), (x, u)
-    assert exact.step(1, below_one) == 9
-    assert exact.step(0, 0.25) == 3
+                assert targets[bisect_right(cum, u)] == _scan_step(row, u), (x, u)
+    targets, cum = _cumulative(exact.row(1))
+    assert targets[bisect_right(cum, below_one)] == 9
+    targets, cum = _cumulative(exact.row(0))
+    assert targets[bisect_right(cum, 0.25)] == 3
 
 
 def test_table_step_equals_the_linear_scan_at_every_cumulative_value():
