@@ -21,11 +21,12 @@ shallow, rather than extrapolating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 import numpy as np
 
-from .coxeter import WeylElement, WeylGroup, root_system
+from .coxeter import RootSystem, WeylElement, WeylGroup, root_system
 from .errors import SizeGuardError
 from .netwalk import LazyNetwork, FiniteNetwork
 
@@ -246,6 +247,15 @@ def ball_size(p: int, radius: int) -> int:
     return 1 + 2 * wall + inner
 
 
+@cache
+def _a2_weyl() -> WeylGroup:
+    """The Weyl group of the A2 root system, shared by every A2Ball."""
+    return WeylGroup(root_system("A2"))
+
+
+# (i, j) move-index pairs of the link's flags, per p; see A2Ball._flags.
+_LINK_FLAGS: dict[int, tuple[tuple[int, int], ...]] = {}
+
 # Candidates (frontier vertices x moves) one block of the shell build holds.
 _CANDIDATE_BLOCK = 1 << 13
 _INT64_MAX = 2 ** 63 - 1
@@ -279,8 +289,6 @@ class A2Ball:
             raise SizeGuardError(f"ball entries at p = {p}, radius {radius} exceed int64")
         self.p = p
         self.radius = radius
-        self.root_system = root_system("A2")
-        self.weyl = WeylGroup(self.root_system)
         self.origin = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         # Upper-triangular moves s, rows (s0, s1, s2), (0, s3, s4), (0, 0, s5),
         # with s x a basis of a neighbour of the class x: the p^2+p+1 index-p
@@ -397,6 +405,14 @@ class A2Ball:
             part.setdefault(lam, []).append(v)
         self._partition_cache: dict = {self.origin: part}
 
+    @property
+    def weyl(self) -> WeylGroup:
+        return _a2_weyl()
+
+    @property
+    def root_system(self) -> RootSystem:
+        return _a2_weyl().root_system
+
     # -- local structure ---------------------------------------------------------
 
     def neighbor_classes(self, x):
@@ -474,14 +490,31 @@ class A2Ball:
                 raise ValueError("lambda-sphere may exceed the ball radius")
         return list(self.sigma_partition(o).get(lam, []))
 
+    def _flags(self):
+        """The link's flags as (i, j) move-index pairs, i over the p^2+p+1
+        determinant-p moves and j over the determinant-p^2 ones, in that
+        order. Move i takes any class x to s_i x, which stands to x as s_i
+        does to the origin; so sigma(x, s_i x) is (1, 0) or (0, 1) by the
+        move's half, and whether s_i x and s_j x are adjacent does not
+        depend on x. Both are read off the origin's neighbours once per p,
+        with the generic sigma."""
+        flags = _LINK_FLAGS.get(self.p)
+        if flags is None:
+            nbrs = self.neighbor_classes(self.origin)
+            half = len(nbrs) // 2
+            if any(self.sigma(self.origin, u) != ((1, 0) if i < half else (0, 1))
+                   for i, u in enumerate(nbrs)):
+                raise AssertionError("a move's sigma does not match its determinant")
+            flags = _LINK_FLAGS[self.p] = tuple(
+                (i, j) for i in range(half) for j in range(half, len(nbrs))
+                if self.sigma(nbrs[i], nbrs[j]) in ((1, 0), (0, 1)))
+        return flags
+
     def chambers_at(self, o):
         """Chambers of the link of o: adjacent pairs (u, v) with
         sigma(o,u) = lambda_1 and sigma(o,v) = lambda_2."""
         nbrs = self.neighbor_classes(o)
-        us = [u for u in nbrs if self.sigma(o, u) == (1, 0)]
-        vs = [v for v in nbrs if self.sigma(o, v) == (0, 1)]
-        return [(u, v) for u in us for v in vs
-                if self.sigma(u, v) in ((1, 0), (0, 1))]
+        return [(nbrs[i], nbrs[j]) for i, j in self._flags()]
 
     def to_network(self) -> FiniteNetwork:
         edges = []
@@ -512,16 +545,18 @@ class A2Ball:
 
         Needs sigma(o,z) with both coordinates >= 1; the two direction
         vertices are the unique neighbors of each type lying on a
-        sigma-geodesic from o to z.
+        sigma-geodesic from o to z. A neighbour by a determinant-p move has
+        sigma(o,u) = (1, 0), so it lies on one when sigma(u,z) is
+        sigma(o,z) - (1, 0); one by a determinant-p^2 move, when sigma(v,z)
+        is sigma(o,z) - (0, 1).
         """
         m = self.sigma(o, z)
         if m[0] < 1 or m[1] < 1:
             raise ValueError(f"sector target must be regular, got sigma={m}")
         nbrs = self.neighbor_classes(o)
-        us = [u for u in nbrs
-              if self.sigma(o, u) == (1, 0) and is_between(self, o, u, z)]
-        vs = [v for v in nbrs
-              if self.sigma(o, v) == (0, 1) and is_between(self, o, v, z)]
+        half = len(nbrs) // 2
+        us = [u for u in nbrs[:half] if self.sigma(u, z) == (m[0] - 1, m[1])]
+        vs = [v for v in nbrs[half:] if self.sigma(v, z) == (m[0], m[1] - 1)]
         if len(us) != 1 or len(vs) != 1:
             raise AssertionError(f"sector direction not unique: {len(us)}, {len(vs)}")
         return us[0], vs[0]

@@ -86,6 +86,11 @@ class RootSystem:
         )
         self.positive_roots: tuple[IVec, ...] = self._close_positive_roots()
         self.highest_root: IVec = max(self.positive_roots, key=lambda m: (sum(m), m))
+        # squared lengths, summed once: q_alpha and validate only compare them
+        self.simple_norms: tuple[Fraction, ...] = tuple(
+            self.inner(a, a) for a in self.simple_roots)
+        self.root_norms: dict[IVec, Fraction] = {a: self.inner(a, a)
+                                                 for a in self.positive_roots}
         self._coset_reps = self._enumerate_coweight_cosets()
 
     # -- basic linear data -------------------------------------------------
@@ -238,7 +243,11 @@ class WeylElement:
 
 
 class WeylGroup:
-    """The finite Weyl group of a root system, fully enumerated."""
+    """The finite Weyl group of a root system, fully enumerated.
+
+    Products come from a Cayley table over the at most 12 elements, and
+    words from a memo; both are filled on first use, so a group that never
+    multiplies does not pay for them."""
 
     def __init__(self, rs: RootSystem) -> None:
         self.root_system = rs
@@ -255,6 +264,8 @@ class WeylGroup:
         self.identity = self._by_mat[_identity(n)]
         self.w0 = max(self.elements, key=lambda w: w.length)
         assert sum(1 for w in self.elements if w.length == self.w0.length) == 1
+        self._products: dict | None = None
+        self._words: dict[tuple[int, ...], WeylElement] = {}
 
     def _length_of(self, root_mat: Mat) -> int:
         rs = self.root_system
@@ -303,7 +314,12 @@ class WeylGroup:
         return self._by_mat[self._gen_root[i - 1]]
 
     def mult(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._by_mat[_mat_mul(a.root_mat, b.root_mat)]
+        products = self._products
+        if products is None:
+            products = self._products = {
+                (x, y): self._by_mat[_mat_mul(x.root_mat, y.root_mat)]
+                for x in self.elements for y in self.elements}
+        return products[a, b]
 
     def inverse(self, a: WeylElement) -> WeylElement:
         w = self.identity
@@ -312,9 +328,13 @@ class WeylGroup:
         return w
 
     def from_word(self, word) -> WeylElement:
-        w = self.identity
-        for i in word:
-            w = self.mult(w, self.generator(i))
+        word = tuple(word)
+        w = self._words.get(word)
+        if w is None:
+            w = self.identity
+            for i in word:
+                w = self.mult(w, self.generator(i))
+            self._words[word] = w
         return w
 
     def parabolic(self, subset) -> tuple[WeylElement, ...]:
@@ -372,21 +392,22 @@ class ThicknessVector:
     def validate(self, rs: RootSystem) -> None:
         if len(self.q) != rs.rank + 1:
             raise ValueError("thickness vector length must be rank + 1")
-        norms = [rs.inner(a, a) for a in rs.simple_roots]
+        norms = rs.simple_norms
         for i in range(rs.rank):
             for j in range(rs.rank):
                 if norms[i] == norms[j] and self.q[i + 1] != self.q[j + 1]:
                     raise ValueError("thickness must be constant on root length classes")
-        hr_norm = rs.inner(rs.highest_root, rs.highest_root)
-        i = norms.index(hr_norm)
+        i = norms.index(rs.root_norms[rs.highest_root])
         if self.q[0] != self.q[i + 1]:
             raise ValueError("affine node thickness must match the highest root class")
 
     def q_alpha(self, rs: RootSystem, alpha: IVec) -> int:
         """The parameter attached to a root, through its length class."""
-        norm = rs.inner(alpha, alpha)
-        for i in range(rs.rank):
-            if rs.inner(rs.simple_roots[i], rs.simple_roots[i]) == norm:
+        norm = rs.root_norms.get(tuple(alpha))
+        if norm is None:
+            norm = rs.inner(alpha, alpha)
+        for i, simple in enumerate(rs.simple_norms):
+            if simple == norm:
                 return self.q[i + 1]
         raise ValueError("root does not match any simple root length class")
 

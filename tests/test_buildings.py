@@ -552,6 +552,83 @@ def test_link_opposition_matches_betweenness(ball22):
     assert 0 < agree < 120  # both outcomes exercised
 
 
+# -- link queries against the enumeration route ---------------------------------------
+
+
+def _oracle_chambers_at(ball, o):
+    """Flags at o by enumeration: every neighbour's sigma from o, then the
+    generic sigma between each pair of types."""
+    nbrs = ball.neighbor_classes(o)
+    us = [u for u in nbrs if ball.sigma(o, u) == (1, 0)]
+    vs = [v for v in nbrs if ball.sigma(o, v) == (0, 1)]
+    return [(u, v) for u in us for v in vs if ball.sigma(u, v) in ((1, 0), (0, 1))]
+
+
+def _oracle_first_chamber(ball, o, z):
+    """The neighbours of each type on a sigma-geodesic from o to z, by
+    is_between over every neighbour."""
+    m = ball.sigma(o, z)
+    if m[0] < 1 or m[1] < 1:
+        raise ValueError(f"sector target must be regular, got sigma={m}")
+    nbrs = ball.neighbor_classes(o)
+    us = [u for u in nbrs if ball.sigma(o, u) == (1, 0) and is_between(ball, o, u, z)]
+    vs = [v for v in nbrs if ball.sigma(o, v) == (0, 1) and is_between(ball, o, v, z)]
+    assert len(us) == 1 and len(vs) == 1
+    return us[0], vs[0]
+
+
+def _oracle_opposite(ball, c1, c2):
+    (u1, v1), (u2, v2) = c1, c2
+    return (ball.sigma(u1, v2) not in ((1, 0), (0, 1))
+            and ball.sigma(u2, v1) not in ((1, 0), (0, 1)))
+
+
+def _link_ball(p, radius, ball22):
+    return ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
+
+
+@pytest.mark.parametrize("p,radius", [(2, 2), (3, 1)])
+def test_move_type_sigma_at_every_vertex(p, radius, ball22):
+    ball = _link_ball(p, radius, ball22)
+    half = p * p + p + 1
+    for x in ball.vertices:
+        assert [ball.sigma(x, u) for u in ball.neighbor_classes(x)] == (
+            [(1, 0)] * half + [(0, 1)] * half)
+
+
+@pytest.mark.parametrize("p,radius,flags", [(2, 2, 21), (3, 1, 52)])
+def test_chambers_at_equals_enumeration_at_every_vertex(p, radius, flags, ball22):
+    ball = _link_ball(p, radius, ball22)
+    for o in ball.vertices:
+        chambers = ball.chambers_at(o)
+        assert len(chambers) == flags
+        assert chambers == _oracle_chambers_at(ball, o)
+
+
+@pytest.mark.parametrize("p,radius", [(2, 2), (3, 1)])
+def test_first_chamber_and_opposition_equal_enumeration(p, radius, ball22):
+    ball = _link_ball(p, radius, ball22)
+    rng = random.Random(14)
+    regular = refused = 0
+    for o in rng.sample(ball.vertices, 20):
+        targets = rng.sample(ball.vertices, 15)
+        answers = []
+        for z in targets:
+            try:
+                want = _oracle_first_chamber(ball, o, z)
+            except ValueError:
+                with pytest.raises(ValueError, match="sector target must be regular"):
+                    ball.first_chamber(o, z)
+                refused += 1
+                continue
+            assert ball.first_chamber(o, z) == want
+            answers.append((z, want))
+            regular += 1
+        for (z, c1), (zp, c2) in zip(answers, answers[1:]):
+            assert ball.link_opposition_check(o, z, zp) == _oracle_opposite(ball, c1, c2)
+    assert regular and refused   # both outcomes exercised
+
+
 def test_ball_busemann_stable_and_cocycle(ball22):
     o = ball22.origin
     # sector vertices must lie deeper than every basepoint in play

@@ -105,6 +105,49 @@ def test_group_laws(name):
         )
 
 
+def _mat_product(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_cayley_table_and_word_memo_equal_matrix_products(name):
+    W = WeylGroup(root_system(name))
+    for a in W.elements:
+        for b in W.elements:
+            assert W.mult(a, b).root_mat == _mat_product(a.root_mat, b.root_mat)
+    rng = random.Random(13)
+    for _ in range(40):
+        word = tuple(rng.randrange(1, W.root_system.rank + 1)
+                     for _ in range(rng.randrange(7)))
+        mat = W.identity.root_mat
+        for i in word:
+            mat = _mat_product(mat, W.generator(i).root_mat)
+        assert W.from_word(word).root_mat == mat
+        assert W.from_word(list(word)) is W.from_word(word)
+
+
+def test_mult_refuses_an_element_of_another_group():
+    a2 = WeylGroup(root_system("A2"))
+    g2 = WeylGroup(root_system("G2"))
+    # an equal element of a second A2 group is the same element
+    assert a2.mult(WeylGroup(root_system("A2")).w0, a2.w0) == a2.identity
+    with pytest.raises(KeyError):
+        a2.mult(g2.w0, a2.identity)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_stored_root_norms_equal_the_gram_sums(name):
+    rs = root_system(name)
+    assert rs.simple_norms == tuple(rs.inner(a, a) for a in rs.simple_roots)
+    assert rs.root_norms == {a: rs.inner(a, a) for a in rs.positive_roots}
+    tv = class_respecting_thickness(rs, 2, 3)
+    for a in rs.positive_roots:
+        neg = [-x for x in a]   # not stored: q_alpha sums its norm
+        assert tv.q_alpha(rs, neg) == tv.q_alpha(rs, a)
+
+
 def test_parabolic_and_longest():
     W = WeylGroup(root_system("A2"))
     assert len(W.parabolic([])) == 1
