@@ -22,8 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 import json
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError, SizeGuardError
 from .netwalk import (
@@ -36,6 +35,9 @@ from .netwalk import (
     kernel_from_network,
 )
 from .stats import ChiSquareResult, chisquare_expected
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GROUP_CLOSURE_LIMIT = 20000
 
@@ -387,6 +389,8 @@ def return_time_stats(qnet: QuotientNetwork, x, samples: int, rng: RngStream,
     (sum of m') / m'(x); the tail is geometric, so the fitted log-slope of
     the empirical survival function must come out negative.
     """
+    import numpy as np
+
     kernel = qnet.kernel()
     xbar = qnet.project(x)
     times, unresolved = return_time_samples(kernel, xbar, samples, rng, horizon)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-import numpy as np
-
 from .coxeter import RootSystem, WeylElement, WeylGroup, root_system
 from .errors import SizeGuardError
 from .netwalk import LazyNetwork, FiniteNetwork
@@ -312,6 +310,8 @@ class A2Ball:
         vertex is one key with digits (v(a), b, c, v(d), e, v(f)) for rows
         (a, b, c), (0, d, e), (0, 0, f): the diagonal is powers of p, so keys
         sort as the vertex tuples do."""
+        import numpy as np
+
         p, radius = self.p, self.radius
         moves = np.array(self._moves, dtype=np.int64)
         per_block = max(1, _CANDIDATE_BLOCK // len(moves))
@@ -525,17 +525,22 @@ class A2Ball:
         return FiniteNetwork(self.vertices, edges)
 
     def to_json(self) -> dict:
-        index = {v: i for i, v in enumerate(self.vertices)}
+        import numpy as np
+
+        verts, adj = self.vertices, self._adj
+        n = len(verts)
+        index = {v: i for i, v in enumerate(verts)}
+        src = np.repeat(np.arange(n), [len(adj[v]) for v in verts])
+        dst = np.array([index[y] for v in verts for y in adj[v]], dtype=np.int64)
+        # vertices are sorted, so x < y is i < j: each edge once, sorted by i n + j
+        keys = np.sort((src * n + dst)[src < dst])
         return {
             "family": "a2ball",
             "p": self.p,
             "radius": self.radius,
-            "vertices": [[list(r) for r in v] for v in self.vertices],
+            "vertices": [[list(r) for r in v] for v in verts],
             "types": list(self._types),
-            "edges": sorted(
-                [index[x], index[y]]
-                for x in self.vertices for y in self._adj[x] if x < y
-            ),
+            "edges": np.stack(np.divmod(keys, n), axis=1).tolist(),
         }
 
     # -- sector germs at a vertex --------------------------------------------------

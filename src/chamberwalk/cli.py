@@ -1038,11 +1038,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()    # parse_args keeps nothing between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command is None:
-        parser.print_help(sys.stderr)
+        _PARSER.print_help(sys.stderr)
         return 2
     try:
         cfg = _load_config(args)

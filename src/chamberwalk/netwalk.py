@@ -18,10 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 import json
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 import heapq
-
-import numpy as np
 
 from .errors import SchemaError
 
@@ -31,19 +29,42 @@ FIRST_BLOCK, MAX_BLOCK = 4, 1024    # uniforms per draw in the walk loops
 
 # -- rng ---------------------------------------------------------------------
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), every constant
-# a np.uint32 so the arithmetic stays in uint32 under any promotion rules
-_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
-_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
 _POOL = 4
 _SEED_CHUNK = 1024      # child streams hashed, and walks stepped, per numpy pass
 _TAIL = 32              # walks of a chunk left to finish one by one
 _LOCKSTEP_MIN = 128     # fewer fixed-length walks than this step one by one
 
+np = None   # numpy, bound by _numpy() on first use: exact solves never need it
 
-def _hashmix(value, hc, mult=_MULT_A):
+
+def _numpy():
+    """numpy, imported on first use, and with it the RNG constants.
+
+    Every constant is a numpy scalar, so the uint arithmetic below keeps
+    its width under any promotion rules.  Walks, streams and float solves
+    call this once on entry; no per-step code calls it.
+    """
+    global np, _INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R, _SHIFT
+    global _U1, _U11, _U32, _U58, _U63, _U64, _LOW32, _M_HI, _M_LO, _M_LO1, _M_LO0
+    if np is None:
+        import numpy
+        # numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+        _INIT_A, _MULT_A = numpy.uint32(0x43B0D7E5), numpy.uint32(0x931E8875)
+        _INIT_B, _MULT_B = numpy.uint32(0x8B51F9DD), numpy.uint32(0x58F38DED)
+        _MIX_L, _MIX_R = numpy.uint32(0xCA01F9DD), numpy.uint32(0x4973F715)
+        _SHIFT = numpy.uint32(16)
+        # PCG64 (M. E. O'Neill, HMC-CS-2014-0905) in uint64 halves: the
+        # 128-bit multiplier, and the 32-bit halves of its low word for the
+        # high product
+        _U1, _U11, _U32, _U58, _U63, _U64 = (numpy.uint64(n) for n in (1, 11, 32, 58, 63, 64))
+        _LOW32 = numpy.uint64(0xFFFFFFFF)
+        _M_HI, _M_LO = numpy.uint64(0x2360ED051FC65DA4), numpy.uint64(0x4385DF649FCCF645)
+        _M_LO1, _M_LO0 = _M_LO >> _U32, _M_LO & _LOW32
+        np = numpy
+    return np
+
+
+def _hashmix(value, hc, mult):
     """SeedSequence's hashmix of a uint32 array; advances the one-element
     uint32 array ``hc`` of the hash constant in place."""
     value = value ^ hc
@@ -71,6 +92,7 @@ class RngStream:
     key: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
+        np = _numpy()
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
         return np.random.Generator(np.random.PCG64(ss))
 
@@ -87,6 +109,7 @@ class RngStream:
         constants that depend only on the number of words before it.  A bad
         seed or key is refused with numpy's own error, here.
         """
+        np = _numpy()
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         # hashmix calls so far: one per pool word, 12 to mix the pool, and
         # four per entropy word past the pool
@@ -104,21 +127,14 @@ def _pcg64_state(stream) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-# PCG64 (M. E. O'Neill, HMC-CS-2014-0905) in uint64 halves: the 128-bit
-# multiplier, and the 32-bit halves of its low word for the high product
-_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(n) for n in (1, 11, 32, 58, 63, 64))
-_LOW32 = np.uint64(0xFFFFFFFF)
-_M_HI, _M_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_M_LO1, _M_LO0 = _M_LO >> _U32, _M_LO & _LOW32
-
-
 def _pcg64_streams(pool, hc, lo: int, hi: int):
     """PCG64 states of children lo..hi-1 of the stream with pool and hash
     constant ``hc`` (see RngStream._pool), as a (4, hi - lo) uint64 array
     of rows state high, state low, increment high, increment low."""
+    np = _numpy()
     child = np.arange(lo, hi, dtype=np.uint32)
     hci = hc.copy()
-    mixed = [_mix(pool[dst], _hashmix(child, hci)) for dst in range(_POOL)]
+    mixed = [_mix(pool[dst], _hashmix(child, hci, _MULT_A)) for dst in range(_POOL)]
     # generate_state(4, uint64): eight hashed uint32 words, paired low first
     hco = np.array([_INIT_B], np.uint32)
     out = [_hashmix(mixed[j % _POOL], hco, _MULT_B).astype(np.uint64)
@@ -152,6 +168,8 @@ def _pcg64_step(streams) -> None:
 def _pcg64_random(streams):
     """The next ``Generator.random()`` of every stream: one step, PCG64's
     XSL-RR output, and its top 53 bits scaled to [0, 1)."""
+    if np is None:      # streams made outside this module; per step only this test runs
+        _numpy()
     _pcg64_step(streams)
     s_hi = streams[0]
     x = s_hi ^ streams[1]
@@ -163,7 +181,7 @@ def _pcg64_random(streams):
 # -- conductance values -------------------------------------------------------
 
 def parse_conductance(value):
-    """Accept int, float, Fraction or 'p/q' strings; ints stay exact."""
+    """Accept int, finite float, Fraction or 'p/q' strings; ints stay exact."""
     if isinstance(value, bool):
         raise SchemaError("conductance must be a number")
     if isinstance(value, int):
@@ -171,6 +189,8 @@ def parse_conductance(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not isfinite(value):
+            raise SchemaError(f"conductance must be finite, got {value!r}")
         return value
     if isinstance(value, str):
         try:
@@ -443,6 +463,7 @@ class _RowTables:
     """
 
     def __init__(self, kernel: MarkovKernel, start, stop=None) -> None:
+        np = _numpy()
         self.kernel, self.stop = kernel, stop
         self.ids: dict = {}
         self.states: list = []
@@ -558,6 +579,7 @@ def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: i
     PCG64 states, in block draws (``_RowTables.finish``): each stream is
     the walk's own, so every walk takes the same draws as alone.
     """
+    np = _numpy()
     tables = _RowTables(kernel, start, stop)
     pool, hc = rng._pool()
     gen = np.random.Generator(np.random.PCG64(0))
@@ -598,6 +620,7 @@ def fixed_length_ends(kernel: MarkovKernel, start, steps: int, samples: int,
     that never holds, where a numpy pass would cost more than their scalar
     steps.
     """
+    np = _numpy()
     tables = _RowTables(kernel, start, lambda x: False)
     chunk = min(_SEED_CHUNK, _SEED_CHUNK * MAX_BLOCK // max(steps, 1))
     ends: list = []
@@ -768,6 +791,7 @@ def _solve_sparse(rows, rhs_cols) -> list[dict]:
 
 def solve_float(rows, rhs_cols):
     """Float solve of solve_exact's systems, refined once; returns (cols, residual)."""
+    np = _numpy()
     a = np.zeros((len(rows), len(rows)))
     b = np.zeros((len(rows), len(rhs_cols)))
     for i, row in enumerate(rows):

@@ -253,6 +253,61 @@ def test_boundary_hitting_refuses_a_negative_seed():
     assert done.stdout == "ValueError: expected non-negative integer\n"
 
 
+def test_exact_commands_start_without_numpy_or_scipy():
+    # the exact routes never load numpy or scipy; a walk run after them in
+    # the same process loads numpy late and draws the pinned numbers
+    done = run_python("-c", (
+        "import contextlib, hashlib, io, sys\n"
+        "import chamberwalk.cli as cli\n"
+        "for argv in (['induce', '--family', 'cycle:12', '--subset', '[0,3,6,9]'],\n"
+        "             ['discretize', '--family', 'cycle:24', '--action', 'rotation:3'],\n"
+        "             ['coxeter-tables', '--type', 'A2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print([m for m in ('numpy', 'scipy') if m in sys.modules])\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main('simulate --family cycle:6 --steps 20000 --seed 3'.split())\n"
+        "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"))
+    assert done.returncode == 0, done.stderr
+    # the digest pinned for simulate-cycle in test_walk_report_bytes_are_pinned
+    assert done.stdout.splitlines() == [
+        "[]", "0 2fdd1746b79750d967e983d9d7e0c72b002954db52a2c80e5a2c5bb9030cfc91"]
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    import importlib
+
+    import chamberwalk.cli
+
+    calls = [
+        ("coxeter-tables", "--type", "A2", "--q", "3"),
+        ("induce", "--family", "cycle:12", "--subset", "[0,3,6,9]"),
+        ("verify", "--suite", "tree-nlambda", "--suite", "quotient-exact"),
+        ("verify", "--suite", "discretize"),
+    ]
+    # back to back through one parser
+    in_turn = [run_raw(capsys, *argv) for argv in calls]
+    # each call the first after a fresh module load
+    alone = []
+    for argv in calls:
+        importlib.reload(chamberwalk.cli)
+        alone.append(run_raw(capsys, *argv))
+    assert in_turn == alone
+    assert [code for code, _ in alone] == [0, 0, 0, 0]
+    assert [len(json.loads(out)["suites"]) for _, out in alone[2:]] == [2, 1]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_conductance_is_a_bad_request(value, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text('{"nodes": [0, 1, 2], "edges": [[0, 1, %s], [1, 2, 1]]}' % value)
+    assert main(["induce", "--network", str(path), "--subset", "[0, 2]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad request: conductance must be finite")
+
+
 def test_oversized_ball_exits_3(capsys):
     assert main(["ball", "--p", "2", "--radius", "9"]) == 3
 
