@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 from typing import TYPE_CHECKING
 
 from .errors import SchemaError, SizeGuardError
@@ -117,14 +116,6 @@ class FiniteAction:
 
     def random_key(self, gen: np.random.Generator):
         return self.elements[int(gen.integers(len(self.elements)))]
-
-
-def action_from_json(doc, nodes) -> FiniteAction:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    if "generators" not in doc:
-        raise SchemaError("action document needs 'generators'")
-    return FiniteAction(nodes, doc["generators"])
 
 
 # -- lazy built-in actions --------------------------------------------------------

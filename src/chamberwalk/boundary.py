@@ -8,9 +8,11 @@ opposite directions, isotropic step kernels, and Monte Carlo exit statistics
 that compare walk hitting frequencies against nu.  A separate detector
 recovers the parabolic W_J from a chamber colouring of a spherical building.
 
+Every model offers the building interface described in ``buildings``, so
+kernels and exit statistics take one path on trees and lattice-class balls.
 Trees admit exact ends (deep words), so the ratio and product-measure checks
-are exact there; lattice-class balls only support the truncation-level
-statistics.
+are exact there and refuse other models; lattice-class balls only support the
+truncation-level statistics.
 """
 
 from __future__ import annotations
@@ -19,23 +21,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .buildings import A2Ball, SphericalA2, TreeBuilding, is_between
-from .coxeter import WeylGroup, chi, n_lambda, uniform_thickness
+from .buildings import SphericalA2, TreeBuilding, is_between
+from .coxeter import chi, n_lambda, uniform_thickness
 from .netwalk import MarkovKernel, RngStream, encode_node, first_passages
 from .stats import ChiSquareResult, chisquare_uniform, combine_chisquares
 
 
 def _weyl_data(model):
     """Weyl group and uniform thickness vector attached to a building model."""
-    if isinstance(model, TreeBuilding):
-        q = model.q
-    elif isinstance(model, A2Ball):
-        q = model.p
-    else:
-        raise TypeError("cylinder measures live on tree or lattice-ball models")
-    rs = model.root_system
-    weyl = model.weyl if isinstance(model, A2Ball) else WeylGroup(rs)
-    return weyl, uniform_thickness(rs, q)
+    return model.weyl, uniform_thickness(model.root_system, model.thickness)
 
 
 class CylinderMeasure:
@@ -53,10 +47,6 @@ class CylinderMeasure:
 
     def chi(self, cw) -> Fraction:
         return chi(self.model.root_system, self.tv, cw)
-
-
-def nu_cylinder(m: CylinderMeasure, x, y) -> Fraction:
-    return m.nu(x, y)
 
 
 def partition_defect(m: CylinderMeasure, x, lam) -> Fraction:
@@ -189,9 +179,12 @@ def m_measure_checks(b: TreeBuilding, x, y, cylinder_pairs) -> ExactCheckReport:
 class IsotropicKernel:
     """p(x,y) = c_{sigma(x,y)} / N_{sigma(x,y)} for a finite step law c.
 
-    On trees any support {(k,)} works since spheres are exact everywhere;
-    on lattice-class balls the support must sit inside {(1,0), (0,1)} and
-    rows exist only where the ball still holds the full spheres.
+    The default law puts 1/rank on each fundamental coweight.  The model
+    decides which steps it supports (``check_steps``) and lists each row's
+    lambda-spheres (``step_sphere``): on trees any support {(k,)} works since
+    spheres are exact everywhere; on lattice-class balls the support must sit
+    inside {(1,0), (0,1)} and rows exist only where the ball still holds the
+    full spheres.
     """
 
     def __init__(self, model, c=None) -> None:
@@ -199,10 +192,8 @@ class IsotropicKernel:
         self.weyl, self.tv = _weyl_data(model)
         rs = model.root_system
         if c is None:
-            if isinstance(model, TreeBuilding):
-                c = {(1,): Fraction(1)}
-            else:
-                c = {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+            c = {tuple(int(i == j) for j in range(rs.rank)): Fraction(1, rs.rank)
+                 for i in range(rs.rank)}
         law = {}
         for lam, pr in c.items():
             if isinstance(pr, float):
@@ -219,10 +210,7 @@ class IsotropicKernel:
                 law[lam] = pr
         if sum(law.values()) != 1:
             raise ValueError(f"step law sums to {sum(law.values())}, not 1")
-        if isinstance(model, A2Ball):
-            bad = set(law) - {(1, 0), (0, 1)}
-            if bad:
-                raise ValueError(f"ball kernels support only neighbor steps, got {sorted(bad)}")
+        model.check_steps(law)
         self.c = law
 
     @property
@@ -230,32 +218,11 @@ class IsotropicKernel:
         rs = self.model.root_system
         return all(self.c.get(rs.iota(lam)) == pr for lam, pr in self.c.items())
 
-    def symmetrized(self) -> "IsotropicKernel":
-        rs = self.model.root_system
-        keys = set(self.c) | {rs.iota(lam) for lam in self.c}
-        half = Fraction(1, 2)
-        c = {lam: (self.c.get(lam, 0) + self.c.get(rs.iota(lam), 0)) * half
-             for lam in keys}
-        return IsotropicKernel(self.model, c)
-
     def row(self, x):
-        if isinstance(self.model, TreeBuilding):
-            out = []
-            for lam, pr in sorted(self.c.items()):
-                sphere = self.model.sphere(x, lam[0])
-                out.extend((y, pr / len(sphere)) for y in sphere)
-            return out
-        p = self.model.p
-        full = p * p + p + 1
-        by_class: dict = {}
-        for y in self.model.neighbors(x):
-            by_class.setdefault(self.model.sigma(x, y), []).append(y)
         out = []
         for lam, pr in sorted(self.c.items()):
-            ys = by_class.get(lam, [])
-            if len(ys) != full:
-                raise ValueError(f"lambda-sphere {lam} truncated at {x}")
-            out.extend((y, pr / full) for y in ys)
+            ys = self.model.step_sphere(x, lam)
+            out.extend((y, pr / len(ys)) for y in ys)
         return out
 
     def kernel(self) -> MarkovKernel:
@@ -273,10 +240,6 @@ class HittingStats:
     unresolved: int
     chi: ChiSquareResult
     truncation_limited: bool
-
-    @property
-    def resolved(self) -> int:
-        return self.samples - self.unresolved
 
     @property
     def p_value(self) -> float:
@@ -307,11 +270,12 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
                         workers: int = 1) -> HittingStats:
     """Chi-square comparison of walk exit frequencies against nu_o.
 
-    Trees: stop once the walk is at distance >= level and record the vertex
-    of V_level(o) its exit direction passes through; nu_o is uniform there.
-    Lattice-class balls: stop at sigma-box = level and record the exit
-    vertex; uniformity is tested within each lambda-class and the class
-    statistics are summed.  The ball variant is flagged truncation-limited.
+    Each walk stops once max(sigma(o, z)) >= level, and its exit is recorded
+    as the model's ``exit_cell``: on trees the vertex of V_level(o) the exit
+    direction passes through, on lattice-class balls the exit vertex on the
+    sigma-box.  nu_o is uniform on each class of ``exit_classes``, so
+    uniformity is tested within each class that was hit and the class
+    statistics are summed.  ``truncation_limited`` comes from the model.
     Walks run in one thread; ``workers`` is accepted and ignored.
     """
     if level < 1:
@@ -319,46 +283,21 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
     if samples < 1:
         raise ValueError("need at least one sample")
     model = ik.model
-    if isinstance(model, TreeBuilding):
-        sphere = model.sphere(o, level)
-        hits = first_passages(ik.kernel(), o, lambda z: model.distance(o, z) >= level,
-                              rng, samples, horizon)
-        tally = Counter()
-        for z, c in Counter(hit[0] for hit in hits if hit is not None).items():
-            tally[model.geodesic(o, z)[level]] += c
-        if tally:
-            stat = chisquare_uniform([tally.get(v, 0) for v in sphere])
-        else:
-            stat = ChiSquareResult(float("inf"), 0, 0.0)
-        truncated = False
-    elif isinstance(model, A2Ball):
-        if level > model.radius - 1:
-            raise ValueError("exit level needs a ring of slack inside the ball")
-        classes = {
-            lam: model.v_lambda(o, lam)
-            for lam in sorted(model.sigma_partition(o))
-            if max(lam) == level
-        }
-        hits = first_passages(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
-                              rng, samples, horizon)
-        tally = Counter(hit[0] for hit in hits if hit is not None)
-        if any(max(model.sigma(o, z)) != level for z in tally):
-            raise AssertionError("walk skipped the exit level")
-        parts = []
-        for lam, verts in classes.items():
-            counts = [tally.get(v, 0) for v in verts]
-            if sum(counts) > 0:
-                parts.append(chisquare_uniform(counts))
-        if parts:
-            stat = combine_chisquares(parts)
-        else:
-            stat = ChiSquareResult(float("inf"), 0, 0.0)
-        truncated = True
-    else:
-        raise TypeError("hitting statistics run on tree or lattice-ball models")
+    classes = model.exit_classes(o, level)
+    hits = first_passages(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
+                          rng, samples, horizon)
+    tally = Counter()
+    for z, c in Counter(hit[0] for hit in hits if hit is not None).items():
+        tally[model.exit_cell(o, z, level)] += c
+    parts = []
+    for cells in classes.values():
+        counts = [tally.get(v, 0) for v in cells]
+        if sum(counts) > 0:
+            parts.append(chisquare_uniform(counts))
+    stat = combine_chisquares(parts) if parts else ChiSquareResult(float("inf"), 0, 0.0)
     counts = tuple(sorted(tally.items(), key=lambda t: encode_node(t[0])))
     return HittingStats(counts=counts, samples=samples, unresolved=hits.count(None),
-                        chi=stat, truncation_limited=truncated)
+                        chi=stat, truncation_limited=model.truncation_limited)
 
 
 # -- colourings of spherical buildings -----------------------------------------------

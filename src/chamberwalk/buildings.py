@@ -16,17 +16,24 @@ Sector germs are handled through finite data: deep vertices inside the
 truncation for A2Ball, ray words for trees.  Every germ-dependent operation
 states its depth requirement and raises when the available data is too
 shallow, rather than extrapolating.
+
+The tree and the ball offer one interface to the cylinder measures, kernels
+and exit statistics of ``boundary``: an ``origin``; the Weyl data ``weyl``,
+``root_system`` and ``thickness``; ``sigma`` and ``v_lambda``;
+``check_steps`` and ``step_sphere`` for isotropic kernel rows; and
+``exit_classes``, ``exit_cell`` and ``truncation_limited`` for exit walks.
+The ball refuses what it cannot hold: steps other than the two neighbour
+types, spheres that leave the ball, and exit levels without a ring of slack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import gcd
 
-from .coxeter import RootSystem, WeylElement, WeylGroup, root_system
+from .coxeter import RootSystem, WeylElement, WeylGroup, weyl_group
 from .errors import SizeGuardError
-from .netwalk import LazyNetwork, FiniteNetwork
+from .netwalk import LazyNetwork
 
 
 # -- cylinders -------------------------------------------------------------------
@@ -56,13 +63,26 @@ def refines(model, fine: CylinderId, coarse: CylinderId) -> bool:
 class TreeBuilding:
     """The (q+1)-regular tree with words over q+1 letters, no immediate repeat."""
 
+    truncation_limited = False  # spheres are exact at every radius
+
     def __init__(self, q: int) -> None:
         if q < 2:
             raise ValueError("thick trees need branching q >= 2")
         self.q = q
         self.degree = q + 1
-        self.root_system = root_system("A1")
         self.origin: tuple = ()
+
+    @property
+    def weyl(self) -> WeylGroup:
+        return weyl_group("A1")
+
+    @property
+    def root_system(self) -> RootSystem:
+        return weyl_group("A1").root_system
+
+    @property
+    def thickness(self) -> int:
+        return self.q
 
     def neighbors(self, w):
         out = [w[:-1]] if w else []
@@ -104,6 +124,18 @@ class TreeBuilding:
     def v_lambda(self, x, lam):
         return self.sphere(x, lam[0])
 
+    def check_steps(self, steps) -> None:
+        """Any dominant step works: every sphere of the tree is exact."""
+
+    step_sphere = v_lambda
+
+    def exit_classes(self, o, level: int):
+        return {(level,): self.sphere(o, level)}
+
+    def exit_cell(self, o, z, level: int):
+        """The vertex of V_level(o) that the direction from o to z passes."""
+        return self.geodesic(o, z)[level]
+
     def geodesic(self, u, v):
         """Vertex path from u to v through their last common ancestor."""
         c = self._branch_depth(u, v)
@@ -120,10 +152,6 @@ class TreeBuilding:
         """Two ray words represent the same end iff one extends the other."""
         k = min(len(e1), len(e2))
         return e1[:k] == e2[:k]
-
-    def ray(self, end, depth: int | None = None):
-        n = len(end) if depth is None else depth
-        return [end[:k] for k in range(n + 1)]
 
     def _branch_depth(self, u, v) -> int:
         """Length of the common prefix of two words (or ray words)."""
@@ -148,19 +176,6 @@ class TreeBuilding:
         if len(vals) != 1:
             raise AssertionError("Busemann value did not stabilize")
         return (vals.pop(),)
-
-    def line_between(self, e1, e2):
-        """Vertices of the geodesic line joining two distinct ends (truncated)."""
-        if self.same_end(e1, e2):
-            raise ValueError("ends coincide")
-        return self.geodesic(e1, e2)
-
-    def distance_to_line(self, x, e1, e2) -> int:
-        line = self.line_between(e1, e2)
-        d, best = min((self.distance(x, v), v) for v in line)
-        if d > 0 and best in (line[0], line[-1]):
-            raise ValueError("line truncation too shallow near the projection")
-        return d
 
     def beta(self, x, e1, e2):
         """beta_x(end1, end2) = h(x,z;end1) + h(x,z;end2), z on their line."""
@@ -187,11 +202,6 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _det3(m) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _hnf_rows(rows):
@@ -245,12 +255,6 @@ def ball_size(p: int, radius: int) -> int:
     return 1 + 2 * wall + inner
 
 
-@cache
-def _a2_weyl() -> WeylGroup:
-    """The Weyl group of the A2 root system, shared by every A2Ball."""
-    return WeylGroup(root_system("A2"))
-
-
 # (i, j) move-index pairs of the link's flags, per p; see A2Ball._flags.
 _LINK_FLAGS: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -269,6 +273,7 @@ class A2Ball:
 
     MAX_RADIUS = 4
     MAX_VERTICES = 300000
+    truncation_limited = True   # exit statistics stop inside the stored ball
 
     def __init__(self, p: int, radius: int, max_vertices: int | None = None) -> None:
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
@@ -407,11 +412,15 @@ class A2Ball:
 
     @property
     def weyl(self) -> WeylGroup:
-        return _a2_weyl()
+        return weyl_group("A2")
 
     @property
     def root_system(self) -> RootSystem:
-        return _a2_weyl().root_system
+        return weyl_group("A2").root_system
+
+    @property
+    def thickness(self) -> int:
+        return self.p
 
     # -- local structure ---------------------------------------------------------
 
@@ -466,9 +475,6 @@ class A2Ball:
             (0, s * a * f, (t * d - s * e) * a),
             (0, 0, z * a * d)))
 
-    def type_of(self, x) -> int:
-        return _vp(_det3(x), self.p) % 3
-
     def sigma_partition(self, o):
         """{lambda: sorted vertex list} over the whole ball, cached per base."""
         if o not in self._partition_cache:
@@ -489,6 +495,41 @@ class A2Ball:
             if max(a + b // 2, b + a // 2) > self.radius:
                 raise ValueError("lambda-sphere may exceed the ball radius")
         return list(self.sigma_partition(o).get(lam, []))
+
+    def check_steps(self, steps) -> None:
+        bad = set(steps) - {(1, 0), (0, 1)}
+        if bad:
+            raise ValueError(f"ball kernels support only neighbor steps, got {sorted(bad)}")
+
+    def step_sphere(self, x, lam):
+        """V_lambda(x) for a neighbour step lambda, in move order: the classes
+        s_i x of the p^2+p+1 determinant-p moves for (1, 0), of the
+        determinant-p^2 moves for (0, 1) (see _flags); check_steps admits
+        no other lambda. Refused unless the whole sphere lies in the ball; it
+        is then the first or last p^2+p+1 of x's in-ball neighbours, which
+        keep move order."""
+        nbrs = self._adj[x]
+        full = len(self._moves) // 2
+        first = lam == (1, 0)
+        if len(nbrs) < 2 * full:
+            moves = self.neighbor_classes(x)
+            if not all(y in self._adj for y in (moves[:full] if first else moves[full:])):
+                raise ValueError(f"lambda-sphere {lam} truncated at {x}")
+        return nbrs[:full] if first else nbrs[-full:]
+
+    def exit_classes(self, o, level: int):
+        """{lambda: V_lambda(o)} over the classes with max(lambda) = level, in
+        lambda order; the level needs a ring of slack inside the ball."""
+        if level > self.radius - 1:
+            raise ValueError("exit level needs a ring of slack inside the ball")
+        return {lam: self.v_lambda(o, lam)
+                for lam in sorted(self.sigma_partition(o)) if max(lam) == level}
+
+    def exit_cell(self, o, z, level: int):
+        """z itself, once the walk stopped on the box of the exit level."""
+        if max(self.sigma(o, z)) != level:
+            raise AssertionError("walk skipped the exit level")
+        return z
 
     def _flags(self):
         """The link's flags as (i, j) move-index pairs, i over the p^2+p+1
@@ -515,14 +556,6 @@ class A2Ball:
         sigma(o,u) = lambda_1 and sigma(o,v) = lambda_2."""
         nbrs = self.neighbor_classes(o)
         return [(nbrs[i], nbrs[j]) for i, j in self._flags()]
-
-    def to_network(self) -> FiniteNetwork:
-        edges = []
-        for x in self.vertices:
-            for y in self._adj[x]:
-                if x < y:
-                    edges.append((x, y, 1))
-        return FiniteNetwork(self.vertices, edges)
 
     def to_json(self) -> dict:
         import numpy as np
@@ -605,8 +638,8 @@ class SphericalA2:
         if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
             raise ValueError(f"q must be prime, got {q}")
         self.q = q
-        self.root_system = root_system("A2")
-        self.weyl = WeylGroup(self.root_system)
+        self.weyl = weyl_group("A2")
+        self.root_system = self.weyl.root_system
         self.points = (
             [(1, a, b) for a in range(q) for b in range(q)]
             + [(0, 1, c) for c in range(q)]

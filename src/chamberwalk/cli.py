@@ -47,13 +47,12 @@ from .boundary import (
 from .buildings import A2Ball, SphericalA2, TreeBuilding
 from .coxeter import (
     ThicknessVector,
-    WeylGroup,
     chi,
     dominant_coweights,
     n_lambda,
     poincare_sum,
-    root_system,
     uniform_thickness,
+    weyl_group,
 )
 from .discretize import (
     discretize_lattice,
@@ -125,6 +124,8 @@ def _read_json(path, what: str):
         raise SchemaError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{what} file nests too deeply") from exc
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -305,14 +306,14 @@ def _finite_network(cfg: RunConfig):
 
 def cmd_coxeter_tables(cfg: RunConfig) -> int:
     type_name = str(cfg.param("type", "A2"))
-    rs = root_system(type_name)
+    weyl = weyl_group(type_name)
+    rs = weyl.root_system
     q_value = cfg.param("q", 2)
     if isinstance(q_value, (list, tuple)):
         tv = ThicknessVector(tuple(int(v) for v in q_value))
     else:
         tv = uniform_thickness(rs, _positive_int(q_value, "thickness q"))
     tv.validate(rs)
-    weyl = WeylGroup(rs)
     box = cfg.int_param("box", 3)
     table = []
     for cw in dominant_coweights(rs, box):

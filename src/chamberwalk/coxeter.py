@@ -20,9 +20,9 @@ to the highest root.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .netwalk import solve_exact
@@ -91,7 +91,6 @@ class RootSystem:
             self.inner(a, a) for a in self.simple_roots)
         self.root_norms: dict[IVec, Fraction] = {a: self.inner(a, a)
                                                  for a in self.positive_roots}
-        self._coset_reps = self._enumerate_coweight_cosets()
 
     # -- basic linear data -------------------------------------------------
 
@@ -165,40 +164,6 @@ class RootSystem:
         # solve z . cartan = cw
         (z,) = solve_exact(list(zip(*self.cartan)), [cw])
         return all(x.denominator == 1 for x in z)
-
-    def _enumerate_coweight_cosets(self) -> tuple[IVec, ...]:
-        """Representatives of the coweight lattice modulo the coroot lattice.
-
-        Breadth-first over translates of the fundamental coweights, so the
-        labels come out in a deterministic order with type(0) = 0 and
-        type(lambda_1) = 1.
-        """
-        reps: list[IVec] = [tuple(0 for _ in range(self.rank))]
-        frontier = [reps[0]]
-        while frontier:
-            new = []
-            for r in frontier:
-                for i in range(self.rank):
-                    cand = tuple(r[j] + (1 if j == i else 0) for j in range(self.rank))
-                    if not any(
-                        self.in_coroot_lattice(tuple(c - s for c, s in zip(cand, known)))
-                        for known in reps
-                    ):
-                        reps.append(cand)
-                        new.append(cand)
-            frontier = new
-        return tuple(reps)
-
-    @property
-    def num_types(self) -> int:
-        return len(self._coset_reps)
-
-    def coweight_type(self, cw: IVec) -> int:
-        """The class of a coweight in P/Q, as a stable small integer label."""
-        for t, rep in enumerate(self._coset_reps):
-            if self.in_coroot_lattice(tuple(c - r for c, r in zip(cw, rep))):
-                return t
-        raise AssertionError("coset representatives do not cover P/Q")
 
 
 def root_system(cartan_type: str) -> RootSystem:
@@ -373,6 +338,12 @@ class WeylGroup:
         return tuple(w for w in self.elements if w.apply_coweight(cw) == cw)
 
 
+@cache
+def weyl_group(cartan_type: str) -> WeylGroup:
+    """The Weyl group of a built-in root system, built once per type."""
+    return WeylGroup(root_system(cartan_type))
+
+
 @dataclass(frozen=True)
 class ThicknessVector:
     """Thickness parameters q_0 .. q_n indexed by the affine diagram nodes.
@@ -456,25 +427,3 @@ def n_lambda(weyl: WeylGroup, tv: ThicknessVector, cw: IVec) -> int:
 def dominant_coweights(rs: RootSystem, box: int):
     """All dominant coweights with coordinates in 0..box, ordered."""
     return [cw for cw in product(range(box + 1), repeat=rs.rank)]
-
-
-def load_cartan_json(doc) -> tuple[RootSystem, ThicknessVector]:
-    """Read {"type": ..., "rank": ..., "q": [q_0..q_n]} into validated objects.
-
-    A custom system may be given as {"cartan": [[...]], "symmetrizer": [...]}
-    in place of a built-in type name.
-    """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    if "cartan" in doc:
-        rs = RootSystem(
-            tuple(tuple(int(x) for x in row) for row in doc["cartan"]),
-            tuple(int(x) for x in doc.get("symmetrizer", [1] * len(doc["cartan"]))),
-        )
-    else:
-        rs = root_system(str(doc["type"]))
-    if "rank" in doc and int(doc["rank"]) != rs.rank:
-        raise ValueError("declared rank does not match the root system")
-    tv = ThicknessVector(tuple(int(x) for x in doc["q"]))
-    tv.validate(rs)
-    return rs, tv

@@ -77,22 +77,6 @@ def induced_kernel_exact(kernel: MarkovKernel, subset) -> MarkovKernel:
     return MarkovKernel.finite(rows)
 
 
-def induced_kernel_mc(kernel: MarkovKernel, subset, samples: int, rng: RngStream,
-                      horizon: int = 10**6):
-    """Monte Carlo estimate of the induced kernel rows, with unresolved mass."""
-    subset = list(subset)
-    subset_set = set(subset)
-    rows = {}
-    unresolved = {}
-    for xi, x in enumerate(subset):
-        hits = first_passages(kernel, x, lambda z: z in subset_set, rng.child(xi),
-                              samples, horizon)
-        counts = Counter(hit[0] for hit in hits if hit is not None)
-        rows[x] = {y: c / samples for y, c in counts.items()}
-        unresolved[x] = hits.count(None) / samples
-    return rows, unresolved
-
-
 @dataclass(frozen=True)
 class HarmonicTransferReport:
     restriction_defect: object

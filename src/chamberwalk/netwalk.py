@@ -292,20 +292,32 @@ class LazyNetwork:
         return self._encode_fn(x)
 
 
+def _node_from_json(x):
+    """A node of a network document: a scalar, or a list read as a tuple."""
+    if isinstance(x, list):
+        return tuple(_node_from_json(v) for v in x)
+    if isinstance(x, dict):
+        raise SchemaError(f"node must be a scalar or a list, got {x!r}")
+    return x
+
+
 def network_from_json(doc) -> FiniteNetwork:
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise SchemaError("network document needs 'nodes' and 'edges'")
-    nodes = [tuple(x) if isinstance(x, list) else x for x in doc["nodes"]]
-    edges = []
-    for e in doc["edges"]:
-        if len(e) != 3:
-            raise SchemaError(f"edge must be [u, v, a]: {e}")
-        u, v, a = e
-        u = tuple(u) if isinstance(u, list) else u
-        v = tuple(v) if isinstance(v, list) else v
-        edges.append((u, v, a))
+    if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
+        raise SchemaError("network 'nodes' and 'edges' must be lists")
+    try:
+        nodes = [_node_from_json(x) for x in doc["nodes"]]
+        edges = []
+        for e in doc["edges"]:
+            if not isinstance(e, list) or len(e) != 3:
+                raise SchemaError(f"edge must be [u, v, a]: {e}")
+            u, v, a = e
+            edges.append((_node_from_json(u), _node_from_json(v), a))
+    except RecursionError as exc:
+        raise SchemaError("network nodes nest lists too deeply") from exc
     return FiniteNetwork(nodes, edges)
 
 
@@ -666,31 +678,6 @@ def check_stationary(kernel: MarkovKernel, nu: dict):
     for y in kernel.nodes:
         worst = max(worst, abs(flow[y] - nu[y]))
     return worst
-
-
-def is_irreducible(kernel: MarkovKernel) -> bool:
-    """Strong connectivity of the positive-probability digraph."""
-    nodes = kernel.nodes
-    if not nodes:
-        return False
-    fwd = {x: [y for y, p in kernel.row(x) if p > 0] for x in nodes}
-    bwd: dict = {x: [] for x in nodes}
-    for x, ys in fwd.items():
-        for y in ys:
-            bwd[y].append(x)
-
-    def reach(adj):
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    return len(reach(fwd)) == len(nodes) and len(reach(bwd)) == len(nodes)
 
 
 # -- linear solves ---------------------------------------------------------------

@@ -12,7 +12,6 @@ from chamberwalk.action import (
     IntegerTranslationAction,
     InvolutionTreeAction,
     QuotientNetwork,
-    action_from_json,
     action_invariance_check,
     covolume,
     exact_distribution_after,
@@ -20,7 +19,6 @@ from chamberwalk.action import (
     quotient_network,
     return_time_stats,
 )
-from chamberwalk.errors import SchemaError
 from chamberwalk.netwalk import (
     _SEED_CHUNK,
     MarkovKernel,
@@ -54,13 +52,6 @@ def test_finite_action_reflection_stabilizer():
     assert refl.stabilizer_order(2) == 2
     assert refl.stabilizer_order(1) == 1
     assert refl.fundamental_domain() == [0, 1, 2]
-
-
-def test_action_json_rejects_bad_perm():
-    with pytest.raises(SchemaError):
-        action_from_json({"generators": [[0, 0, 1]]}, range(3))
-    act = action_from_json({"generators": [[1, 2, 0]]}, range(3))
-    assert len(act.elements) == 3
 
 
 def test_covolume_integer_line():

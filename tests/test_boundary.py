@@ -11,7 +11,6 @@ from chamberwalk.boundary import (
     boundary_hitting_mc,
     m_measure_checks,
     m_product_value,
-    nu_cylinder,
     partition_defect,
     radon_nikodym_check,
     refinement_check,
@@ -19,6 +18,7 @@ from chamberwalk.boundary import (
 )
 from chamberwalk.buildings import A2Ball, SphericalA2, TreeBuilding
 from chamberwalk.netwalk import RngStream
+from chamberwalk.stats import chisquare_uniform
 
 
 @pytest.fixture(scope="module")
@@ -42,19 +42,19 @@ def pg2():
 def test_nu_values_tree(tree2):
     m = CylinderMeasure(tree2)
     o = ()
-    assert nu_cylinder(m, o, o) == 1
-    assert nu_cylinder(m, o, (0,)) == Fraction(1, 3)
-    assert nu_cylinder(m, o, (0, 1)) == Fraction(1, 6)
-    assert nu_cylinder(m, (2, 0), (2,)) == Fraction(1, 3)
+    assert m.nu(o, o) == 1
+    assert m.nu(o, (0,)) == Fraction(1, 3)
+    assert m.nu(o, (0, 1)) == Fraction(1, 6)
+    assert m.nu((2, 0), (2,)) == Fraction(1, 3)
 
 
 def test_nu_values_ball(ball22):
     m = CylinderMeasure(ball22)
     o = ball22.origin
     part = ball22.sigma_partition(o)
-    assert nu_cylinder(m, o, o) == 1
-    assert all(nu_cylinder(m, o, y) == Fraction(1, 7) for y in part[(1, 0)])
-    assert all(nu_cylinder(m, o, y) == Fraction(1, 42) for y in part[(1, 1)])
+    assert m.nu(o, o) == 1
+    assert all(m.nu(o, y) == Fraction(1, 7) for y in part[(1, 0)])
+    assert all(m.nu(o, y) == Fraction(1, 42) for y in part[(1, 1)])
 
 
 def test_nu_matches_sphere_sizes(tree2):
@@ -119,7 +119,7 @@ def test_radon_nikodym_one_step(tree2):
     m = CylinderMeasure(tree2)
     x, y, z = (), (0,), (0, 1)
     # y is one step toward the cylinder below z
-    assert nu_cylinder(m, y, z) / nu_cylinder(m, x, z) == 2
+    assert m.nu(y, z) / m.nu(x, z) == 2
     report = radon_nikodym_check(m, x, y, [z, (0, 1, 0), (0, 1, 0, 2)])
     assert report.checked == 3
     assert report.defect == 0
@@ -130,7 +130,7 @@ def test_radon_nikodym_two_steps_q3():
     m = CylinderMeasure(TreeBuilding(3))
     x, y = (), (0, 1)
     z = (0, 1, 2, 0)
-    assert nu_cylinder(m, y, z) / nu_cylinder(m, x, z) == 9
+    assert m.nu(y, z) / m.nu(x, z) == 9
     assert radon_nikodym_check(m, x, y, [z]).verdict
 
 
@@ -240,10 +240,64 @@ def test_isotropic_ball_rows(ball22):
     assert all(p == Fraction(1, 14) for _, p in row)
     one_sided = IsotropicKernel(ball22, {(1, 0): 1})
     assert not one_sided.symmetric
-    assert one_sided.symmetrized().c == ik.c
     boundary_vertex = ball22.sigma_partition(ball22.origin)[(2, 0)][0]
     with pytest.raises(ValueError):
         ik.row(boundary_vertex)
+
+
+def _sigma_grouped_row(ik, x):
+    """A ball kernel row built the earlier way: the in-ball neighbours of x
+    grouped by sigma(x, y), each class refused unless it is full."""
+    model = ik.model
+    full = model.p * model.p + model.p + 1
+    by_class: dict = {}
+    for y in model.neighbors(x):
+        by_class.setdefault(model.sigma(x, y), []).append(y)
+    out = []
+    for lam, pr in sorted(ik.c.items()):
+        ys = by_class.get(lam, [])
+        if len(ys) != full:
+            raise ValueError(f"lambda-sphere {lam} truncated at {x}")
+        out.extend((y, pr / full) for y in ys)
+    return out
+
+
+def _row_or_refusal(row, *args):
+    try:
+        return row(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p,radius", [(2, 2), (3, 1)])
+def test_ball_rows_match_the_sigma_grouped_rows(p, radius, monkeypatch):
+    ball = A2Ball(p, radius)
+    laws = [{(1, 0): 1}, {(0, 1): 1}, None]
+    expected = {}
+    for j, law in enumerate(laws):
+        ik = IsotropicKernel(ball, law)
+        for x in ball.vertices:
+            expected[j, x] = _row_or_refusal(_sigma_grouped_row, ik, x)
+    calls = []
+    sigma = A2Ball.sigma
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return sigma(self, x, y)
+
+    monkeypatch.setattr(A2Ball, "sigma", counted)
+    refused = 0
+    for j, law in enumerate(laws):
+        ik = IsotropicKernel(ball, law)
+        for x in ball.vertices:
+            got = _row_or_refusal(ik.row, x)
+            assert got == expected[j, x]
+            if isinstance(got, str):
+                refused += 1
+            else:
+                assert all(isinstance(pr, Fraction) for _, pr in got)
+    assert calls == []
+    assert 0 < refused < len(laws) * len(ball.vertices)
 
 
 def test_isotropic_validation(tree2, ball22):
@@ -264,7 +318,7 @@ def test_hitting_tree_level_one(tree2):
     ik = IsotropicKernel(tree2)
     stats = boundary_hitting_mc(ik, (), 1, 3000, RngStream(7101))
     assert stats.unresolved == 0
-    assert stats.resolved == sum(c for _, c in stats.counts)
+    assert stats.samples - stats.unresolved == sum(c for _, c in stats.counts)
     assert set(v for v, _ in stats.counts) <= set(tree2.sphere((), 1))
     assert stats.passes()
     assert not stats.truncation_limited
@@ -275,6 +329,18 @@ def test_hitting_tree_level_two_off_centre(tree2):
     stats = boundary_hitting_mc(ik, (0, 1), 2, 6000, RngStream(7102))
     assert stats.passes()
     assert stats.chi.dof == 5
+
+
+def test_tree_exit_cells_feed_one_sphere_chisquare(tree2):
+    # steps of length 2 can jump past the level; the exit cell is the vertex
+    # of V_level(o) on the way
+    ik = IsotropicKernel(tree2, {(1,): Fraction(1, 2), (2,): Fraction(1, 2)})
+    o, level = (0, 1), 2
+    stats = boundary_hitting_mc(ik, o, level, 2000, RngStream(7106))
+    sphere = tree2.sphere(o, level)
+    tally = dict(stats.counts)
+    assert set(tally) <= set(sphere)
+    assert stats.chi == chisquare_uniform([tally.get(v, 0) for v in sphere])
 
 
 def test_hitting_tree_worker_count_invariance(tree2):

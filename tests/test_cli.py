@@ -308,6 +308,26 @@ def test_non_finite_conductance_is_a_bad_request(value, tmp_path, capsys):
     assert captured.err.startswith("bad request: conductance must be finite")
 
 
+@pytest.mark.parametrize("doc", [
+    '{"nodes": [0, 1], "edges": [5]}',
+    '{"nodes": 7, "edges": []}',
+    '{"nodes": [0, {"a": 1}], "edges": [[0, 1, 1]]}',
+    '{"nodes": [0, 1], "edges": ["abc"]}',
+    '{"nodes": [0, 1], "edges": [[0, {"b": 1}, 1]]}',
+    '{"nodes": [0, %s%s], "edges": []}' % ("[" * 900, "]" * 900),
+    '{"nodes": [0, %s%s], "edges": []}' % ("[" * 50000, "]" * 50000),
+], ids=["edge-not-a-list", "nodes-not-a-list", "node-object", "edge-string",
+        "endpoint-object", "node-nests-900", "file-nests-50000"])
+def test_malformed_network_file_is_a_bad_request(doc, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(doc)
+    assert main(["induce", "--network", str(path), "--subset", "[0]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad request: ")
+    assert "Traceback" not in captured.err
+
+
 def test_oversized_ball_exits_3(capsys):
     assert main(["ball", "--p", "2", "--radius", "9"]) == 3
 
@@ -509,9 +529,14 @@ def test_out_directory_receives_files(tmp_path, capsys):
 # -- the full battery ---------------------------------------------------------------
 
 
+ALL_SUITES_DIGEST = "7dd61c6105d927c9fac646b601d1411d37231227cd68825562a8b626df8fbbd2"
+
+
 def test_all_suites_pass(capsys):
-    code, report = run_json(capsys, "verify", "--suite", "all",
-                            "--seed", "20260825", "--samples", "3000")
+    code, out = run_raw(capsys, "verify", "--suite", "all",
+                        "--seed", "20260825", "--samples", "3000")
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_SUITES_DIGEST
+    report = json.loads(out)
     assert code == 0
     assert report["verdict"] is True
     assert len(report["suites"]) == 12

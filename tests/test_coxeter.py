@@ -10,7 +10,6 @@ from chamberwalk.coxeter import (
     ThicknessVector,
     WeylGroup,
     chi,
-    load_cartan_json,
     n_lambda,
     poincare_sum,
     root_system,
@@ -298,23 +297,6 @@ def test_iota_involution_and_a2_swap():
             assert r.iota(cw) == tuple(cw)
 
 
-def test_coweight_types():
-    rs = root_system("A2")
-    assert rs.num_types == 3
-    assert rs.coweight_type((0, 0)) == 0
-    assert rs.coweight_type((1, 0)) == 1
-    assert rs.coweight_type((0, 1)) == 2
-    assert rs.coweight_type((1, 1)) == 0
-    assert root_system("A1").num_types == 2
-    assert root_system("B2").num_types == 2
-    assert root_system("G2").num_types == 1
-    # membership in the coroot lattice is exactly "type equals type of zero"
-    rng = random.Random(9)
-    for _ in range(40):
-        cw = (rng.randrange(-4, 5), rng.randrange(-4, 5))
-        assert rs.in_coroot_lattice(cw) == (rs.coweight_type(cw) == 0)
-
-
 def test_types_are_weyl_invariant():
     rs = root_system("A2")
     W = WeylGroup(rs)
@@ -343,17 +325,3 @@ def test_thickness_validation():
     with pytest.raises(ValueError):
         # affine node must match the long class for B2
         ThicknessVector((2, 3, 2)).validate(rsb)
-
-
-def test_load_cartan_json():
-    rs, tv = load_cartan_json('{"type": "A2", "rank": 2, "q": [2, 2, 2]}')
-    assert rs.cartan_type == "A2"
-    assert tv.q == (2, 2, 2)
-    rs2, tv2 = load_cartan_json(
-        {"cartan": [[2, -1], [-1, 2]], "symmetrizer": [1, 1], "q": [3, 3, 3]}
-    )
-    assert rs2.positive_roots == rs.positive_roots
-    with pytest.raises(ValueError):
-        load_cartan_json('{"type": "A2", "rank": 3, "q": [2, 2, 2]}')
-    with pytest.raises(ValueError):
-        load_cartan_json('{"type": "Z9", "rank": 2, "q": [2, 2, 2]}')

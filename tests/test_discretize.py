@@ -16,7 +16,6 @@ from chamberwalk.discretize import (
     harmonic_extension,
     harmonic_transfer_check,
     induced_kernel_exact,
-    induced_kernel_mc,
     stopping_times,
 )
 from chamberwalk.netwalk import (
@@ -184,18 +183,6 @@ def test_harmonic_transfer_gamblers_ruin():
     h = harmonic_extension(kernel, subset, f)
     assert h == {0: Fraction(0), 1: Fraction(1, 4), 2: Fraction(1, 2),
                  3: Fraction(3, 4), 4: Fraction(1)}
-
-
-def test_induced_kernel_mc_matches_exact():
-    kernel = kernel_from_network(path_network(5))
-    subset = [0, 2, 4]
-    exact = induced_kernel_exact(kernel, subset)
-    rows, unresolved = induced_kernel_mc(kernel, subset, 4000, RngStream(613, ()))
-    for x in subset:
-        assert unresolved[x] == 0
-        for y, p in exact.row(x):
-            sigma = (float(p) * (1 - float(p)) / 4000) ** 0.5
-            assert abs(rows[x].get(y, 0.0) - float(p)) < 4 * sigma + 1e-9
 
 
 def test_free_group_step_law():

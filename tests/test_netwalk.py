@@ -1,6 +1,7 @@
 """Network and kernel layer: exact structure checks and reproducibility."""
 
 import gc
+import json
 import math
 import random
 import weakref
@@ -31,7 +32,6 @@ from chamberwalk.netwalk import (
     hitting_distribution,
     hitting_matrix,
     integer_line_network,
-    is_irreducible,
     kernel_from_network,
     network_from_json,
     occupation_counts,
@@ -115,6 +115,9 @@ def test_network_json_roundtrip():
         network_from_json({"nodes": [0], "edges": [[0, 1, 1]]})
     with pytest.raises(SchemaError):
         network_from_json({"nodes": [0, 1], "edges": [[0, 1]]})
+    # nested tuple nodes come back from JSON lists of lists
+    nested = FiniteNetwork([((0, 1), (2,)), 3], [(((0, 1), (2,)), 3, 1)])
+    assert network_from_json(json.dumps(nested.to_json())).to_json() == nested.to_json()
 
 
 def test_simulate_reproducible():
@@ -461,16 +464,6 @@ def test_hitting_unreachable_substochastic():
     assert alpha[1][0] == 1
     assert alpha[2][0] == 0
     assert alpha[3][0] == 0
-
-
-def test_is_irreducible():
-    kern = kernel_from_network(cycle_network(5))
-    assert is_irreducible(kern)
-    two_triangles = FiniteNetwork(
-        range(6),
-        [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)],
-    )
-    assert not is_irreducible(kernel_from_network(two_triangles))
 
 
 def test_check_stationary_network_weights():

@@ -5,7 +5,7 @@ import math
 from scipy.special import chdtrc
 from scipy.stats import chi2
 
-from chamberwalk.stats import chisquare_expected, combine_chisquares
+from chamberwalk.stats import chisquare_expected, chisquare_uniform, combine_chisquares
 
 
 def test_chdtrc_equals_chi2_sf_bit_for_bit_on_a_grid():
@@ -25,3 +25,9 @@ def test_p_values_come_from_the_chi_square_survival_function():
     both = combine_chisquares([res, res])
     assert (both.statistic, both.dof) == (4.0, 4)
     assert both.p_value == float(chi2.sf(4.0, 4))
+
+
+def test_combining_one_result_returns_it_unchanged():
+    for counts in ([30, 50, 20], [5, 0, 0, 7], [0, 9, 1], [4]):
+        r = chisquare_uniform(counts)
+        assert combine_chisquares([r]) == r
