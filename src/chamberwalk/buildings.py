@@ -28,7 +28,9 @@ types, spheres that leave the ball, and exit levels without a ring of slack.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .coxeter import RootSystem, WeylElement, WeylGroup, weyl_group
@@ -261,6 +263,7 @@ _LINK_FLAGS: dict[int, tuple[tuple[int, int], ...]] = {}
 # Candidates (frontier vertices x moves) one block of the shell build holds.
 _CANDIDATE_BLOCK = 1 << 13
 _INT64_MAX = 2 ** 63 - 1
+_INT32_MAX = 2 ** 31 - 1
 
 
 class A2Ball:
@@ -269,6 +272,10 @@ class A2Ball:
     Vertices are canonical Hermite forms of rank-3 lattice classes with
     sigma-box at most ``radius`` from the identity class; adjacency is
     index-p or index-p^2 inclusion up to homothety.
+
+    The ball is stored as arrays (see _build); ``size`` and ``class_sizes``
+    are read from them, and ``to_json`` lists them. The vertex tuples, each
+    vertex's neighbour tuple and the sigma partitions are built on first use.
     """
 
     MAX_RADIUS = 4
@@ -278,7 +285,9 @@ class A2Ball:
     def __init__(self, p: int, radius: int, max_vertices: int | None = None) -> None:
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"p must be prime, got {p}")
-        if radius < 1 or radius > self.MAX_RADIUS:
+        if radius < 1:
+            raise ValueError(f"radius must be at least 1, got {radius}")
+        if radius > self.MAX_RADIUS:
             raise SizeGuardError(f"radius must be in 1..{self.MAX_RADIUS}")
         cap = self.MAX_VERTICES if max_vertices is None else max_vertices
         if ball_size(p, radius) > cap:
@@ -290,6 +299,10 @@ class A2Ball:
         if (4 * p ** (4 * radius + 2) > _INT64_MAX
                 or (2 * radius + 1) ** 3 * p ** (6 * radius) > _INT64_MAX):
             raise SizeGuardError(f"ball entries at p = {p}, radius {radius} exceed int64")
+        # the neighbour table's int32 indptr counts up to ball x moves entries
+        if ball_size(p, radius) * 2 * (p * p + p + 1) > _INT32_MAX:
+            raise SizeGuardError(f"ball neighbour table at p = {p}, radius {radius} "
+                                 "exceeds int32")
         self.p = p
         self.radius = radius
         self.origin = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -304,17 +317,36 @@ class A2Ball:
             + [(p, 0, 0, 1, c, p) for c in range(p)]
             + [(p, 0, 0, p, 0, 1)]
         )
+        self._neighbor_rows: dict = {}
+        self._partition_cache: dict = {}
         self._build()
 
+    def _digits(self, keys):
+        """The digits (v(a), b, c, v(d), e, v(f)) of vertex keys, for rows
+        (a, b, c), (0, d, e), (0, 0, f); see _build."""
+        import numpy as np
+
+        off, val = self.p ** (2 * self.radius), 2 * self.radius + 1
+        keys, vf = np.divmod(keys, val)
+        keys, e = np.divmod(keys, off)
+        keys, vd = np.divmod(keys, val)
+        va, keys = np.divmod(keys, off * off)
+        b, c = np.divmod(keys, off)
+        return va, b, c, vd, e, vf
+
     def _build(self) -> None:
-        """Grow the ball a shell at a time on int64 arrays.
+        """Grow the ball a shell at a time on int64 arrays, and keep it as
+        arrays.
 
         Every move is applied to a block of frontier vertices at once; each
         vertex's neighbours are computed once, and the in-ball ones are both
         its adjacency (in move order) and the next shell's candidates. A
         vertex is one key with digits (v(a), b, c, v(d), e, v(f)) for rows
         (a, b, c), (0, d, e), (0, 0, f): the diagonal is powers of p, so keys
-        sort as the vertex tuples do."""
+        sort as the vertex tuples do. The ball is stored as the sorted keys,
+        each vertex's sigma code l1 (R+1) + l2 from the origin, and a CSR
+        table of neighbours in move order (int32 indptr and indices into
+        sorted order); the Python views are built from these on first use."""
         import numpy as np
 
         p, radius = self.p, self.radius
@@ -323,18 +355,10 @@ class A2Ball:
         powers = np.array([p ** k for k in range(4 * radius + 3)], dtype=np.int64)
         off, val = p ** (2 * radius), 2 * radius + 1
 
-        def digits(keys):
-            keys, vf = np.divmod(keys, val)
-            keys, e = np.divmod(keys, off)
-            keys, vd = np.divmod(keys, val)
-            va, keys = np.divmod(keys, off * off)
-            b, c = np.divmod(keys, off)
-            return va, b, c, vd, e, vf
-
         def step(keys):
             """In-ball neighbours of a block of vertices, vertex by vertex in
             move order: their keys, sigma codes l1 (R+1) + l2, and counts."""
-            va, b, c, vd, e, vf = digits(keys)
+            va, b, c, vd, e, vf = self._digits(keys)
             a, d, f = powers[va], powers[vd], powers[vf]
             a, b, c, d, e, f = (x[:, None] for x in (a, b, c, d, e, f))
             s0, s1, s2, s3, s4, s5 = moves.T
@@ -387,28 +411,39 @@ class A2Ball:
 
         if found != size:
             raise AssertionError(f"shell build found {found} vertices, N_lambda counts {size}")
-        keys, sigma = np.concatenate(done), np.concatenate(sigmas)
+        keys, counts = np.concatenate(done), np.concatenate(counts)
         order = np.argsort(keys)
-        sorted_keys = keys[order]
-        va, b, c, vd, e, vf = digits(sorted_keys)
-        self.vertices = verts = tuple(
-            ((a, b, c), (0, d, e), (0, 0, f)) for a, b, c, d, e, f in zip(
-                *(x.tolist() for x in (powers[va], b, c, powers[vd], e, powers[vf]))))
-        self._types = ((va + vd + vf) % 3).tolist()
-        # an object array lists the neighbours by reference, with no int per entry
-        nbr = np.fromiter(verts, dtype=object, count=len(verts))[
-            np.searchsorted(sorted_keys, np.concatenate(nbrs))].tolist()
-        adj, start = {}, 0
-        for i, end in zip(np.searchsorted(sorted_keys, keys).tolist(),
-                          np.cumsum(np.concatenate(counts)).tolist()):
-            adj[verts[i]] = tuple(nbr[start:end])
-            start = end
-        self._adj = adj
-        part: dict = {}
-        l1, l2 = np.divmod(sigma[order], radius + 1)
-        for v, lam in zip(verts, zip(l1.tolist(), l2.tolist())):
-            part.setdefault(lam, []).append(v)
-        self._partition_cache: dict = {self.origin: part}
+        self._keys = keys[order]
+        self._codes = np.concatenate(sigmas)[order]
+        self.size = len(keys)
+        # row k of the table is the neighbour run of vertex order[k]
+        starts = np.cumsum(counts) - counts
+        counts = counts[order]
+        indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        runs = np.repeat(starts[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+        self._indptr = indptr.astype(np.int32)
+        self._indices = np.searchsorted(
+            self._keys, np.concatenate(nbrs)[runs]).astype(np.int32)
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The ball's vertices in sorted order, as tuples of rows; built on
+        first use."""
+        va, b, c, vd, e, vf = self._digits(self._keys)
+        p = self.p
+        return tuple(((a, b, c), (0, d, e), (0, 0, f)) for a, b, c, d, e, f in zip(
+            *(x.tolist() for x in (p ** va, b, c, p ** vd, e, p ** vf))))
+
+    @cached_property
+    def class_sizes(self) -> dict:
+        """{lambda: |V_lambda(origin)|} over the nonempty classes, in lambda
+        order, from one count of the sigma codes."""
+        import numpy as np
+
+        r = self.radius + 1
+        counts = np.bincount(self._codes, minlength=r * r).tolist()
+        return {divmod(code, r): n for code, n in enumerate(counts) if n}
 
     @property
     def weyl(self) -> WeylGroup:
@@ -445,8 +480,21 @@ class A2Ball:
         return out
 
     def neighbors(self, x):
-        """Adjacent vertices inside the ball."""
-        return self._adj[x]
+        """Adjacent vertices inside the ball, in move order, as the stored
+        vertex objects; a vertex's tuple is built the first time it is asked
+        for, from its run of the neighbour table."""
+        row = self._neighbor_rows.get(x)
+        if row is None:
+            verts = self.vertices
+            try:
+                i = bisect_left(verts, x)
+            except TypeError:   # not a tuple of rows: no vertex of the ball
+                raise KeyError(x) from None
+            if i == len(verts) or verts[i] != x:
+                raise KeyError(x)
+            run = self._indices[self._indptr[i]:self._indptr[i + 1]].tolist()
+            row = self._neighbor_rows[x] = tuple(verts[j] for j in run)
+        return row
 
     def _sigma_from_origin(self, y):
         """sigma(origin, y) for y upper triangular with rows (a, b, c),
@@ -476,11 +524,17 @@ class A2Ball:
             (0, 0, z * a * d)))
 
     def sigma_partition(self, o):
-        """{lambda: sorted vertex list} over the whole ball, cached per base."""
+        """{lambda: sorted vertex list} over the whole ball, cached per base;
+        at the origin it is read from the build's sigma codes."""
         if o not in self._partition_cache:
             part: dict = {}
-            for y in self.vertices:
-                part.setdefault(self.sigma(o, y), []).append(y)
+            if o == self.origin:
+                r = self.radius + 1
+                for y, code in zip(self.vertices, self._codes.tolist()):
+                    part.setdefault(divmod(code, r), []).append(y)
+            else:
+                for y in self.vertices:
+                    part.setdefault(self.sigma(o, y), []).append(y)
             self._partition_cache[o] = part
         return self._partition_cache[o]
 
@@ -507,13 +561,15 @@ class A2Ball:
         determinant-p^2 moves for (0, 1) (see _flags); check_steps admits
         no other lambda. Refused unless the whole sphere lies in the ball; it
         is then the first or last p^2+p+1 of x's in-ball neighbours, which
-        keep move order."""
-        nbrs = self._adj[x]
+        keep move order. A move's class lies in the ball when its sigma from
+        the origin does."""
+        nbrs = self.neighbors(x)
         full = len(self._moves) // 2
         first = lam == (1, 0)
         if len(nbrs) < 2 * full:
             moves = self.neighbor_classes(x)
-            if not all(y in self._adj for y in (moves[:full] if first else moves[full:])):
+            if any(max(self._sigma_from_origin(y)) > self.radius
+                   for y in (moves[:full] if first else moves[full:])):
                 raise ValueError(f"lambda-sphere {lam} truncated at {x}")
         return nbrs[:full] if first else nbrs[-full:]
 
@@ -558,21 +614,25 @@ class A2Ball:
         return [(nbrs[i], nbrs[j]) for i, j in self._flags()]
 
     def to_json(self) -> dict:
+        """The ball as lists, read from the stored arrays: each vertex's
+        rows, its type v(adf) mod 3, and the edges as sorted index pairs."""
         import numpy as np
 
-        verts, adj = self.vertices, self._adj
-        n = len(verts)
-        index = {v: i for i, v in enumerate(verts)}
-        src = np.repeat(np.arange(n), [len(adj[v]) for v in verts])
-        dst = np.array([index[y] for v in verts for y in adj[v]], dtype=np.int64)
+        n = self.size
+        va, b, c, vd, e, vf = self._digits(self._keys)
+        zero = np.zeros(n, dtype=np.int64)
+        rows = np.stack([self.p ** va, b, c, zero, self.p ** vd, e, zero, zero, self.p ** vf],
+                        axis=1).reshape(n, 3, 3)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
+        dst = self._indices
         # vertices are sorted, so x < y is i < j: each edge once, sorted by i n + j
         keys = np.sort((src * n + dst)[src < dst])
         return {
             "family": "a2ball",
             "p": self.p,
             "radius": self.radius,
-            "vertices": [[list(r) for r in v] for v in verts],
-            "types": list(self._types),
+            "vertices": rows.tolist(),
+            "types": ((va + vd + vf) % 3).tolist(),
             "edges": np.stack(np.divmod(keys, n), axis=1).tolist(),
         }
 

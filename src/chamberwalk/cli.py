@@ -191,7 +191,9 @@ def _emit(cfg: RunConfig, report: dict, csv_header=None, csv_rows=None,
                 writer.writerows(csv_rows)
         if extra_files:
             for name, doc in extra_files.items():
-                (directory / name).write_text(json.dumps(doc, sort_keys=True) + "\n")
+                # documents built here are never cyclic: skip the check
+                (directory / name).write_text(
+                    json.dumps(doc, sort_keys=True, check_circular=False) + "\n")
     elif cfg.fmt == "csv" and csv_rows is not None:
         writer = csv.writer(sys.stdout)
         writer.writerow(csv_header)
@@ -354,12 +356,12 @@ def cmd_ball(cfg: RunConfig) -> int:
     model = _ball(p, radius)
     measure = CylinderMeasure(model)
     partition = []
-    for lam, verts in sorted(model.sigma_partition(model.origin).items()):
-        entry = {"lambda": list(lam), "count": len(verts)}
+    for lam, count in model.class_sizes.items():
+        entry = {"lambda": list(lam), "count": count}
         if lam != (0, 0):
             expected = measure.n_lambda(lam)
             entry["n_lambda"] = expected
-            entry["complete"] = len(verts) == expected
+            entry["complete"] = count == expected
         partition.append(entry)
     doc = model.to_json()
     report = {
@@ -580,14 +582,14 @@ def suite_a2_nlambda(cfg: RunConfig, rng) -> list:
     radius = cfg.int_param("radius", 2)
     model = _ball(p, radius)
     measure = CylinderMeasure(model)
-    partition = model.sigma_partition(model.origin)
+    sizes = model.class_sizes
     checks = [{
         "name": "partition-total",
-        "total": sum(len(v) for v in partition.values()),
-        "vertices": len(model.vertices),
-        "verdict": sum(len(v) for v in partition.values()) == len(model.vertices),
+        "total": sum(sizes.values()),
+        "vertices": model.size,
+        "verdict": sum(sizes.values()) == model.size,
     }]
-    for lam, verts in sorted(partition.items()):
+    for lam, count in sizes.items():
         # around the origin every class with max(lam) <= radius lies in the ball
         if lam == (0, 0) or max(lam) > radius:
             continue
@@ -597,8 +599,8 @@ def suite_a2_nlambda(cfg: RunConfig, rng) -> list:
             "name": f"class-size-{a}{b}",
             "lambda": [a, b],
             "formula": formula,
-            "enumerated": len(verts),
-            "verdict": formula == len(verts),
+            "enumerated": count,
+            "verdict": formula == count,
         })
     return checks
 

@@ -255,6 +255,10 @@ def test_v_lambda_base_independence(ball22):
 def test_ball_size_guards():
     with pytest.raises(SizeGuardError):
         A2Ball(2, 5)
+    # a radius below 1 is a bad request, not a size the guard refuses
+    for radius in (0, -2):
+        with pytest.raises(ValueError, match="radius must be at least 1"):
+            A2Ball(2, radius)
     with pytest.raises(SizeGuardError):
         A2Ball(2, 2, max_vertices=100)
 
@@ -457,6 +461,84 @@ def test_neighbors_are_the_stored_vertex_objects(ball22):
         assert all(y is by_value[y] for y in ball22.neighbors(x))
 
 
+# -- the stored arrays against the eager views they replaced --------------------------
+
+
+def _reference_json(ball):
+    """to_json as it was computed before the ball was kept as arrays: an
+    index dict over the vertex tuples, and every neighbour tuple looked up
+    in it."""
+    verts = ball.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    edges = sorted([index[x], index[y]] for x in verts for y in ball.neighbors(x)
+                   if index[x] < index[y])
+    return {
+        "family": "a2ball",
+        "p": ball.p,
+        "radius": ball.radius,
+        "vertices": [[list(r) for r in v] for v in verts],
+        "types": [_vp(_det3(v), ball.p) % 3 for v in verts],
+        "edges": edges,
+    }
+
+
+@pytest.mark.parametrize("p,radius", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_to_json_equals_the_index_dict_reference(p, radius):
+    # a fresh ball: to_json must not lean on views an earlier call built
+    ball = A2Ball(p, radius)
+    doc = ball.to_json()
+    assert "vertices" not in ball.__dict__
+    assert doc == _reference_json(ball)
+
+
+@pytest.mark.parametrize("p,radius", [(2, 2), (3, 1)])
+def test_neighbors_built_on_demand_equal_the_eager_adjacency(p, radius):
+    ball = A2Ball(p, radius)
+    _, eager, _, _ = _bfs_ball(ball)
+    by_value = {v: v for v in ball.vertices}
+    for x in ball.vertices:
+        row = ball.neighbors(x)
+        assert row == eager[x]
+        assert all(y is by_value[y] for y in row)
+        assert ball.neighbors(x) is row      # kept in the memo
+
+
+def test_step_sphere_refuses_rim_vertices(ball22):
+    full = 7
+    rim = [x for x in ball22.vertices if len(ball22.neighbors(x)) < 2 * full]
+    assert rim
+    refused = 0
+    for x in rim:
+        for lam in ((1, 0), (0, 1)):
+            moves = ball22.neighbor_classes(x)
+            half = moves[:full] if lam == (1, 0) else moves[full:]
+            if all(y in ball22.neighbors(x) for y in half):
+                assert list(ball22.step_sphere(x, lam)) == half
+            else:
+                with pytest.raises(ValueError, match=rf"lambda-sphere \({lam[0]}, "
+                                                     rf"{lam[1]}\) truncated at"):
+                    ball22.step_sphere(x, lam)
+                refused += 1
+    assert refused
+
+
+@pytest.mark.parametrize("outside", [((64, 0, 0), (0, 8, 0), (0, 0, 1)),
+                                     ((1, 0, 0), (0, 1, 0), (0, 0, 2 ** 9)), 0, "vertex"])
+def test_a_vertex_outside_the_ball_raises_key_error(outside, ball22):
+    with pytest.raises(KeyError):
+        ball22.neighbors(outside)
+    with pytest.raises(KeyError):
+        ball22.step_sphere(outside, (1, 0))
+
+
+@pytest.mark.parametrize("p,radius", [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3)])
+def test_class_sizes_count_the_origin_partition(p, radius, ball22):
+    ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
+    part = ball.sigma_partition(ball.origin)
+    assert list(ball.class_sizes.items()) == [(lam, len(v)) for lam, v in sorted(part.items())]
+    assert ball.size == len(ball.vertices) == sum(ball.class_sizes.values())
+
+
 @pytest.mark.parametrize("p,radius", [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])
 def test_ball_size_closed_form(p, radius, ball22):
     ball = ball22 if (p, radius) == (2, 2) else A2Ball(p, radius)
@@ -490,6 +572,9 @@ def test_int64_bound_refusal_through_max_vertices(monkeypatch):
     assert ball_size(1009, 1) < 10 ** 13
     with pytest.raises(SizeGuardError, match="exceed int64"):
         A2Ball(1009, 1, max_vertices=10 ** 13)
+    # entries fit int64, but 104,915,721 vertices x 26 moves overflow int32
+    with pytest.raises(SizeGuardError, match="exceeds int32"):
+        A2Ball(3, 4, max_vertices=10 ** 9)
 
 
 def test_refused_ball_exits_3_before_building(monkeypatch, capsys):

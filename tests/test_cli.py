@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chamberwalk import netwalk
+from chamberwalk import cli, netwalk
 from chamberwalk.buildings import TreeBuilding
 from chamberwalk.cli import FAMILIES, main
 
@@ -330,6 +330,34 @@ def test_malformed_network_file_is_a_bad_request(doc, tmp_path, capsys):
 
 def test_oversized_ball_exits_3(capsys):
     assert main(["ball", "--p", "2", "--radius", "9"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "a2-nlambda", "--radius", "0"],
+    ["verify", "--suite", "a2-nlambda", "--radius", "-2"],
+    ["verify", "--suite", "hitting-a2", "--radius", "0", "--seed", "1"],
+    ["ball", "--radius", "0"],
+])
+def test_ball_radius_below_one_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad request: ")
+
+
+def test_ball_and_a2_nlambda_build_no_vertex_tuples(tmp_path, capsys):
+    # a later edit must not bring back the per-vertex tuples on this path
+    cli._ball.cache_clear()
+    try:
+        assert main(["ball", "--p", "2", "--radius", "2", "--out", str(tmp_path)]) == 0
+        assert main(["verify", "--suite", "a2-nlambda", "--p", "2", "--radius", "2"]) == 0
+        capsys.readouterr()
+        assert cli._ball.cache_info().currsize == 1
+        ball = cli._ball(2, 2)
+        assert "vertices" not in ball.__dict__
+        assert ball._neighbor_rows == {} and ball._partition_cache == {}
+    finally:
+        cli._ball.cache_clear()
 
 
 def test_composite_residue_prime_exits_2(capsys):
