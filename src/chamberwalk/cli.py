@@ -44,7 +44,7 @@ from .boundary import (
     refinement_check,
     special_subgroup_detect,
 )
-from .buildings import A2Ball, SphericalA2, TreeBuilding
+from .buildings import A2Ball, SphericalA2, TreeBuilding, ball_size
 from .coxeter import (
     ThicknessVector,
     chi,
@@ -583,11 +583,12 @@ def suite_a2_nlambda(cfg: RunConfig, rng) -> list:
     model = _ball(p, radius)
     measure = CylinderMeasure(model)
     sizes = model.class_sizes
+    total, vertices = sum(sizes.values()), ball_size(p, radius)    # N_lambda closed form
     checks = [{
         "name": "partition-total",
-        "total": sum(sizes.values()),
-        "vertices": model.size,
-        "verdict": sum(sizes.values()) == model.size,
+        "total": total,
+        "vertices": vertices,
+        "verdict": total == vertices,
     }]
     for lam, count in sizes.items():
         # around the origin every class with max(lam) <= radius lies in the ball

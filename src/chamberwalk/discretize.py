@@ -61,20 +61,22 @@ def induced_kernel_exact(kernel: MarkovKernel, subset) -> MarkovKernel:
     """
     subset = list(subset)
     alpha = _hitting_rows(kernel, subset)[1]
-    rows = {}
-    for x in subset:
-        row: dict = {}
-        for z, p in kernel.row(x):
-            for y, a in alpha[z].items():
-                if a != 0:
-                    row[y] = row.get(y, Fraction(0)) + p * a
-        total = sum(row.values())
-        if not mass_is_one(total):
-            raise ValueError(
-                f"induced row at {x!r} sums to {total}; subset not a.s. revisited"
-            )
-        rows[x] = sorted(row.items(), key=lambda t: repr(t[0]))
-    return MarkovKernel.finite(rows)
+    return MarkovKernel.finite({x: _induced_row(kernel, alpha, x) for x in subset})
+
+
+def _induced_row(kernel: MarkovKernel, alpha: dict, x) -> tuple:
+    """q(x, .) = sum_z p(x, z) alpha(z, .) for absorption rows alpha (as
+    ``_hitting_rows`` keeps them), sorted by repr: the row of x in
+    ``induced_kernel_exact``.  Fails loudly unless the row has mass one."""
+    row: dict = {}
+    for z, p in kernel.row(x):
+        for y, a in alpha[z].items():
+            if a != 0:
+                row[y] = row.get(y, Fraction(0)) + p * a
+    total = sum(row.values())
+    if not mass_is_one(total):
+        raise ValueError(f"induced row at {x!r} sums to {total}; subset not a.s. revisited")
+    return tuple(sorted(row.items(), key=lambda t: repr(t[0])))
 
 
 @dataclass(frozen=True)
@@ -271,8 +273,8 @@ def _exact_measure(net, action, o, kernel: MarkovKernel) -> LatticeMeasure | Non
         except ValueError:
             pass
     if isinstance(net, FiniteNetwork) and isinstance(action, FiniteAction):
-        induced = induced_kernel_exact(kernel, action.orbit(o))
-        return _measure_from_row(action, o, induced.row(o), "exact")
+        alpha = _hitting_rows(kernel, action.orbit(o))[1]
+        return _measure_from_row(action, o, _induced_row(kernel, alpha, o), "exact")
     return None
 
 
@@ -293,14 +295,7 @@ def _integer_line_exact(net, action: IntegerTranslationAction, o: int,
             rows[x] = [(y, p) for y, p in kernel.row(x)]
     restricted = MarkovKernel.finite(rows)
     alpha = _hitting_rows(restricted, absorbing)[1]
-    row: dict = {}
-    for z, p in kernel.row(o):
-        for y, a in alpha[z].items():
-            if a != 0:
-                row[y] = row.get(y, Fraction(0)) + p * a
-    if not mass_is_one(sum(row.values())):
-        raise ValueError("window absorption did not resolve all mass")
-    return _measure_from_row(action, o, sorted(row.items()), "exact")
+    return _measure_from_row(action, o, _induced_row(kernel, alpha, o), "exact")
 
 
 def _lattice_measure_mc(kernel: MarkovKernel, action, o, rng: RngStream,

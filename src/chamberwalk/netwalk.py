@@ -364,39 +364,50 @@ class MarkovKernel:
         self.is_exact = is_exact
         self._cache: dict = {}
         self._hitting: dict = {}    # absorbing tuple -> (zero, sparse rows), see _hitting_rows
-        if self.nodes is not None:
-            for x in self.nodes:
-                self._validate_row(x, self.row(x))
 
     @classmethod
     def finite(cls, rows: dict, reversible_with=None) -> "MarkovKernel":
+        """A kernel on the keys of rows; each row is sorted by ``encode_node``
+        here, once, kept as the row cache and validated."""
         rows = {
             x: tuple(sorted(((y, p) for y, p in row), key=lambda t: encode_node(t[0])))
             for x, row in rows.items()
         }
         exact = all(_is_exact_number(p) for row in rows.values() for _, p in row)
-        return cls(lambda x: rows[x], nodes=tuple(rows), reversible_with=reversible_with,
-                   is_exact=exact)
+        kernel = cls(rows.__getitem__, nodes=tuple(rows), reversible_with=reversible_with,
+                     is_exact=exact)
+        kernel._cache = rows
+        for x, row in rows.items():
+            kernel._validate_row(x, row)
+        return kernel
 
     @classmethod
     def lazy(cls, row_fn, encode_fn=encode_node, is_exact=True) -> "MarkovKernel":
         return cls(row_fn, nodes=None, encode_fn=encode_fn, is_exact=is_exact)
 
     def _validate_row(self, x, row) -> None:
-        total = sum(p for _, p in row)
+        """Refuse a row that does not sum to 1 (within 1e-12 for float kernels)
+        or has a negative entry.  An exact row is summed once, in integers:
+        its numerators over the lcm of its denominators."""
         if self.is_exact:
-            if total != 1:
+            try:
+                den = lcm(*(p.denominator for _, p in row))
+            except AttributeError:  # a float from a LazyNetwork, which calls itself exact
+                raise ValueError(f"inexact probability in exact row of {x!r}") from None
+            num = sum(p.numerator * (den // p.denominator) for _, p in row)
+            if num != den:
+                raise ValueError(f"row of {x!r} sums to {Fraction(num, den)}, not 1")
+        else:
+            total = sum(p for _, p in row)
+            if abs(float(total) - 1.0) > 1e-12:
                 raise ValueError(f"row of {x!r} sums to {total}, not 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"row of {x!r} sums to {total}, not 1")
         if any((p < 0) for _, p in row):
             raise ValueError(f"negative probability in row of {x!r}")
 
     def row(self, x):
         if x not in self._cache:
             row = tuple(sorted(self._row_fn(x), key=lambda t: self._encode_fn(t[0])))
-            if self.nodes is None:
-                self._validate_row(x, row)
+            self._validate_row(x, row)
             self._cache[x] = row
         return self._cache[x]
 
@@ -425,8 +436,9 @@ def kernel_from_network(net) -> MarkovKernel:
         return [(y, a / mx) for y, a in nbrs]
 
     if isinstance(net, FiniteNetwork):
+        # rows in adjacency order, the order net.m sums in; finite sorts them
         m = {x: net.m(x) for x in net.nodes}
-        rows = {x: row(x, m[x], net.neighbors(x)) for x in net.nodes}
+        rows = {x: row(x, m[x], net._adj[x].items()) for x in net.nodes}
         return MarkovKernel.finite(rows, reversible_with=m)
 
     def row_fn(x):
@@ -742,7 +754,8 @@ def _solve_sparse(rows, rhs_cols) -> list[dict]:
         store(r, row)
 
     for i, row in enumerate(rows):
-        entries = {c: Fraction(v) for c, v in (*_entries(row), *aug[i].items()) if v}
+        entries = {c: v if isinstance(v, (int, Fraction)) else Fraction(v)
+                   for c, v in (*_entries(row), *aug[i].items()) if v}
         den = lcm(*(v.denominator for v in entries.values()))
         store(i, {c: v.numerator * (den // v.denominator) for c, v in entries.items()})
     free, order = set(range(n)), {}             # order: column -> its pivot row

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from chamberwalk import cli, netwalk
-from chamberwalk.buildings import TreeBuilding
+from chamberwalk.buildings import A2Ball, TreeBuilding
 from chamberwalk.cli import FAMILIES, main
 
 
@@ -83,14 +83,23 @@ def test_discretize_past_the_old_solve_limit_is_exact(capsys):
         0: Fraction(1, 2), 2: Fraction(1, 4), 402: Fraction(1, 4)}
 
 
+# rotation of each pinned cycle whose gcd with the length is not 2
+_PINNED_ROTATION = {"cycle:24": "rotation:3", "cycle:60": "rotation:4", "cycle:90": "rotation:6"}
+
+
 @pytest.mark.parametrize("family, digest", [
     # 202 unknowns and 202 absorbing nodes: an exact law
     ("cycle:404", "1b213f0669b7ca9a6afa32606b1e1ac69a750d3c219f88cd4b6a65bad99daf13"),
     # 605 unknowns, past EXACT_SOLVE_LIMIT: a float law
     ("cycle:1210", "45ed354802776c21a7c598372f02f8d8309113d68a42f5e61d314ab632178833"),
+    # orbits of 8, 15 and 15 nodes: the finite non-transitive route
+    ("cycle:24", "2167fc9846dbd60abe67e217dd48f998af9a54effc23fc63f202c69e22af5774"),
+    ("cycle:60", "bee23d86b5787d2785975a4649aec05dab2e229a73573819a7ea02eae8c70df8"),
+    ("cycle:90", "6da14a8c723d694e5faca79f7f2a48f50117f92caf7f4c998ee883683d455a07"),
 ])
 def test_discretize_rotation_report_bytes_are_pinned(family, digest, capsys):
-    code, out = run_raw(capsys, "discretize", "--family", family, "--action", "rotation:2")
+    action = _PINNED_ROTATION.get(family, "rotation:2")
+    code, out = run_raw(capsys, "discretize", "--family", family, "--action", action)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -343,6 +352,25 @@ def test_ball_radius_below_one_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("bad request: ")
+
+
+def test_a2_nlambda_partition_total_fails_on_a_lost_vertex(monkeypatch, capsys):
+    # a ball that lost one vertex and counts itself consistently: its class
+    # sizes and its size are both one short, so only N_lambda can tell
+    ball = A2Ball(2, 2)
+    sizes = dict(ball.class_sizes)
+    sizes[(0, 0)] -= 1      # the origin, which no class-size check reads
+    monkeypatch.setitem(ball.__dict__, "class_sizes", sizes)
+    monkeypatch.setattr(ball, "size", ball.size - 1)
+    monkeypatch.setattr(cli, "_ball", lambda p, radius: ball)
+    code, report = run_json(capsys, "verify", "--suite", "a2-nlambda", "--p", "2",
+                            "--radius", "2")
+    assert code == 1 and report["verdict"] is False
+    total, *classes = report["suites"][0]["checks"]
+    assert total["name"] == "partition-total" and total["verdict"] is False
+    assert total["vertices"] == 1 + 2 * (7 + 28) + 42 * (1 + 4 + 4 + 16)    # N_lambda at p = 2
+    assert total["total"] == total["vertices"] - 1
+    assert classes and all(check["verdict"] for check in classes)
 
 
 def test_ball_and_a2_nlambda_build_no_vertex_tuples(tmp_path, capsys):

@@ -12,6 +12,7 @@ from chamberwalk.action import (
     InvolutionTreeAction,
 )
 from chamberwalk.discretize import (
+    _induced_row,
     discretize_lattice,
     harmonic_extension,
     harmonic_transfer_check,
@@ -19,6 +20,7 @@ from chamberwalk.discretize import (
     stopping_times,
 )
 from chamberwalk.netwalk import (
+    _hitting_rows,
     FiniteNetwork,
     MarkovKernel,
     RngStream,
@@ -136,6 +138,66 @@ def test_induced_kernel_on_a_cycle_orbit_matches_dense_hitting_rows(n, r):
                     row[y] = row.get(y, Fraction(0)) + p * a
         assert q.row(x) == tuple(sorted(row.items(), key=lambda t: repr(t[0])))
     assert q.is_exact
+
+
+def _base_row_matches_induced_kernel(net, orbit, o):
+    """_induced_row at o against the row of the whole induced kernel, each
+    from its own kernel so that no memo is shared: same values, same order."""
+    oracle = induced_kernel_exact(kernel_from_network(net), orbit).row(o)
+    kernel = kernel_from_network(net)
+    row = _induced_row(kernel, _hitting_rows(kernel, orbit)[1], o)
+    assert row == oracle
+    assert [repr(a) for _, a in row] == [repr(a) for _, a in oracle]
+
+
+@pytest.mark.parametrize("n, rotations", [(12, (2, 3, 4, 8)), (24, (3, 4, 6, 9)),
+                                          (404, (2, 4))])
+def test_induced_base_row_on_cycle_orbits(n, rotations):
+    for r in rotations:
+        action = FiniteAction(range(n), [tuple((i + r) % n for i in range(n))])
+        for o in (0, 1):
+            _base_row_matches_induced_kernel(cycle_network(n), action.orbit(o), o)
+
+
+def test_induced_base_row_on_a_random_two_orbit_network():
+    # conductances invariant under i -> i + 2 on 14 nodes: orbits are evens and odds
+    rng = random.Random(1811)
+    n, edges = 14, {}
+    for _ in range(9):
+        u, v = rng.sample(range(n), 2)
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+        for s in range(0, n, 2):
+            key = tuple(sorted(((u + s) % n, (v + s) % n)))
+            edges.setdefault(key, a)
+    for i in range(n):  # a ring keeps it connected
+        edges.setdefault((min(i, (i + 1) % n), max(i, (i + 1) % n)), Fraction(1, 1 + i % 2))
+    net = FiniteNetwork(range(n), [(u, v, a) for (u, v), a in edges.items()])
+    action = FiniteAction(range(n), [tuple((i + 2) % n for i in range(n))])
+    assert len(action.fundamental_domain()) == 2
+    for o in (0, 1, 6, 9):
+        _base_row_matches_induced_kernel(net, action.orbit(o), o)
+    mu = discretize_lattice(net, action, 0)
+    law = {action.translate(g, 0): p for g, p in mu.entries}
+    assert mu.provenance == "exact" and law == dict(induced_kernel_exact(
+        kernel_from_network(net), action.orbit(0)).row(0))
+
+
+def test_induced_base_row_with_float_conductances():
+    rng = random.Random(4)
+    net = FiniteNetwork(range(10), [(i, (i + 1) % 10, rng.uniform(0.5, 3.0)) for i in range(10)]
+                        + [(0, 5, 0.75), (2, 7, 1.5)])
+    _base_row_matches_induced_kernel(net, [0, 3, 5, 8], 0)
+    _base_row_matches_induced_kernel(net, [0, 3, 5, 8], 5)
+
+
+def test_induced_base_row_refuses_a_subset_not_revisited():
+    # from 0 the chain falls into the trap 2 and never comes back
+    kernel = MarkovKernel.finite({0: [(1, 1)], 1: [(0, Fraction(1, 2)), (2, Fraction(1, 2))],
+                                  2: [(2, 1)]})
+    with pytest.raises(ValueError, match="subset not a.s. revisited"):
+        _induced_row(kernel, _hitting_rows(kernel, [0])[1], 0)
+    with pytest.raises(ValueError, match="subset not a.s. revisited"):
+        induced_kernel_exact(kernel, [0])
 
 
 def test_hitting_distributions_preserved():

@@ -22,6 +22,7 @@ from chamberwalk.netwalk import (
     EXACT_SOLVE_LIMIT,
     MAX_BLOCK,
     FiniteNetwork,
+    LazyNetwork,
     MarkovKernel,
     RngStream,
     check_stationary,
@@ -709,3 +710,47 @@ def test_finite_kernel_row_validation():
     with pytest.raises(ValueError):
         MarkovKernel.finite({0: [(0, Fraction(3, 2)), (1, Fraction(-1, 2))],
                              1: [(1, Fraction(1))]})
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({0: [(0, Fraction(1, 2)), (1, 1)], 1: [(1, 1)]}, "row of 0 sums to 3/2, not 1"),
+    ({0: [], 1: [(1, 1)]}, "row of 0 sums to 0, not 1"),
+    ({0: [(0, 2), (1, Fraction(-1))], 1: [(1, 1)]}, "negative probability in row of 0"),
+    ({"a": [("a", 0.5), ("b", 0.5 + 1e-9)], "b": [("b", 1.0)]},
+     f"row of 'a' sums to {0.5 + (0.5 + 1e-9)}, not 1"),
+])
+def test_finite_kernel_row_refusals_keep_their_texts(rows, message):
+    with pytest.raises(ValueError) as err:
+        MarkovKernel.finite(rows)
+    assert str(err.value) == message
+
+
+def test_finite_kernel_accepts_a_mixed_int_and_fraction_row():
+    kernel = MarkovKernel.finite({0: [(2, Fraction(3, 4)), (1, 0), (0, Fraction(1, 4))],
+                                  1: [(1, 1)], 2: [(2, 1)]})
+    assert kernel.is_exact
+    assert kernel.row(0) == ((0, Fraction(1, 4)), (1, 0), (2, Fraction(3, 4)))
+
+
+def test_lazy_exact_kernel_refuses_a_float_row():
+    kernel = kernel_from_network(LazyNetwork(lambda n: [(n - 1, 0.25), (n + 1, 0.75)]))
+    assert kernel.is_exact
+    with pytest.raises(ValueError, match=r"^inexact probability in exact row of 0$"):
+        kernel.row(0)
+
+
+def test_network_rows_follow_encode_order_not_insertion_order():
+    # adjacency of 10 is {9, 2} in insertion order; b"10" < b"2" < b"9"
+    net = FiniteNetwork([10, 9, 2], [(10, 9, 1), (10, 2, 2), (9, 2, 3)])
+    kernel = kernel_from_network(net)
+    assert list(kernel._cache) == [10, 9, 2]    # sorted once, in finite: row() sorts nothing
+    assert [y for y, _ in kernel.row(10)] == [2, 9]
+    assert [y for y, _ in kernel.row(9)] == [10, 2]
+    assert kernel.row(2) == ((10, Fraction(2, 5)), (9, Fraction(3, 5)))
+    for x in kernel.nodes:
+        assert kernel.row(x) is kernel.row(x)
+        assert kernel.row(x) == tuple((y, a / net.m(x)) for y, a in net.neighbors(x))
+
+
+def test_solve_exact_reads_float_entries_as_fractions():
+    assert solve_exact([[0.5]], [[1]]) == [[Fraction(2)]]
