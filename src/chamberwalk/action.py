@@ -366,9 +366,11 @@ class ReturnTimeStats:
 
 def return_time_samples(kernel: MarkovKernel, x, samples: int, rng: RngStream,
                         horizon: int = 10**6):
-    """First return times to x, with censoring at the horizon."""
-    hits = first_passages(kernel, x, lambda y: y == x, rng, samples, horizon)
-    return [hit[1] for hit in hits if hit is not None], hits.count(None)
+    """First return times to x, as an int array in walk order, and the
+    number of walks censored at the horizon."""
+    _, ids, times = first_passages(kernel, x, lambda y: y == x, rng, samples, horizon)
+    times = times[ids >= 0]
+    return times, samples - len(times)
 
 
 def return_time_stats(qnet: QuotientNetwork, x, samples: int, rng: RngStream,
@@ -385,7 +387,7 @@ def return_time_stats(qnet: QuotientNetwork, x, samples: int, rng: RngStream,
     kernel = qnet.kernel()
     xbar = qnet.project(x)
     times, unresolved = return_time_samples(kernel, xbar, samples, rng, horizon)
-    arr = np.array(times, dtype=float)
+    arr = times.astype(float)
     mean = float(arr.mean())
     std_error = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     total = sum(qnet.m_prime.values())

@@ -17,13 +17,12 @@ truncation-level statistics.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .buildings import SphericalA2, TreeBuilding, is_between
 from .coxeter import chi, n_lambda, uniform_thickness
-from .netwalk import MarkovKernel, RngStream, encode_node, first_passages
+from .netwalk import MarkovKernel, RngStream, encode_node, first_passages, passage_counts
 from .stats import ChiSquareResult, chisquare_uniform, combine_chisquares
 
 
@@ -222,7 +221,8 @@ class IsotropicKernel:
         out = []
         for lam, pr in sorted(self.c.items()):
             ys = self.model.step_sphere(x, lam)
-            out.extend((y, pr / len(ys)) for y in ys)
+            p = pr / len(ys)
+            out.extend((y, p) for y in ys)
         return out
 
     def kernel(self) -> MarkovKernel:
@@ -276,7 +276,8 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
     sigma-box.  nu_o is uniform on each class of ``exit_classes``, so
     uniformity is tested within each class that was hit and the class
     statistics are summed.  ``truncation_limited`` comes from the model.
-    Walks run in one thread; ``workers`` is accepted and ignored.
+    Walks run in one thread; ``workers`` is accepted and ignored.  Exits
+    are tallied by state id, so ``exit_cell`` runs once per exit state.
     """
     if level < 1:
         raise ValueError("exit level must be at least 1")
@@ -284,11 +285,12 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
         raise ValueError("need at least one sample")
     model = ik.model
     classes = model.exit_classes(o, level)
-    hits = first_passages(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
-                          rng, samples, horizon)
-    tally = Counter()
-    for z, c in Counter(hit[0] for hit in hits if hit is not None).items():
-        tally[model.exit_cell(o, z, level)] += c
+    states, ids, _ = first_passages(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
+                                    rng, samples, horizon)
+    tally: dict = {}
+    for z, n in passage_counts(states, ids):
+        cell = model.exit_cell(o, z, level)
+        tally[cell] = tally.get(cell, 0) + n
     parts = []
     for cells in classes.values():
         counts = [tally.get(v, 0) for v in cells]
@@ -296,7 +298,7 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
             parts.append(chisquare_uniform(counts))
     stat = combine_chisquares(parts) if parts else ChiSquareResult(float("inf"), 0, 0.0)
     counts = tuple(sorted(tally.items(), key=lambda t: encode_node(t[0])))
-    return HittingStats(counts=counts, samples=samples, unresolved=hits.count(None),
+    return HittingStats(counts=counts, samples=samples, unresolved=int((ids < 0).sum()),
                         chi=stat, truncation_limited=model.truncation_limited)
 
 

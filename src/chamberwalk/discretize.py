@@ -19,7 +19,6 @@ finite enclosure.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from .netwalk import (
     _hitting_rows,
     first_passages,
     kernel_from_network,
+    passage_counts,
 )
 
 
@@ -301,8 +301,9 @@ def _integer_line_exact(net, action: IntegerTranslationAction, o: int,
 def _lattice_measure_mc(kernel: MarkovKernel, action, o, rng: RngStream,
                         samples: int, horizon: int) -> LatticeMeasure:
     home = action.canonicalize(o)
-    hits = first_passages(kernel, o, lambda z: action.canonicalize(z) == home, rng,
-                          samples, horizon)
-    counts = Counter(hit[0] for hit in hits if hit is not None)
-    row = [(y, c / samples) for y, c in sorted(counts.items(), key=lambda t: repr(t[0]))]
-    return _measure_from_row(action, o, row, "mc", unresolved=hits.count(None) / samples)
+    states, ids, _ = first_passages(kernel, o, lambda z: action.canonicalize(z) == home, rng,
+                                    samples, horizon)
+    counts = sorted(passage_counts(states, ids), key=lambda t: repr(t[0]))
+    row = [(y, c / samples) for y, c in counts]
+    unresolved = int((ids < 0).sum()) / samples
+    return _measure_from_row(action, o, row, "mc", unresolved=unresolved)

@@ -30,7 +30,8 @@ FIRST_BLOCK, MAX_BLOCK = 4, 1024    # uniforms per draw in the walk loops
 # -- rng ---------------------------------------------------------------------
 
 _POOL = 4
-_SEED_CHUNK = 1024      # child streams hashed, and walks stepped, per numpy pass
+_SEED_CHUNK = 4096      # child streams hashed, and walks stepped, per numpy pass
+_CHUNK_DRAWS = 1024 * 1024  # uniforms drawn at once for the walks of fixed_length_ends
 _TAIL = 32              # walks of a chunk left to finish one by one
 _LOCKSTEP_MIN = 128     # fewer fixed-length walks than this step one by one
 
@@ -470,6 +471,12 @@ class Trajectory:
         return len(self.nodes) - 1
 
 
+def _distinct(ids) -> list:
+    """The distinct values of an int array, ascending, from one bincount: a
+    dict over ``ids.tolist()`` costs ten times as much for thousands of walks."""
+    return np.flatnonzero(np.bincount(ids)).tolist()
+
+
 class _RowTables:
     """The states a kernel's walks reach, interned, with their rows as
     padded numpy tables, so that many walks step in one numpy pass.
@@ -522,8 +529,9 @@ class _RowTables:
 
     def step(self, cur, u):
         """The ids after ids ``cur`` for uniforms ``u``, one per walk."""
-        missing = list(dict.fromkeys(cur[~self.ready[cur]].tolist()))
-        if missing:
+        ready = self.ready[cur]
+        if not ready.all():
+            missing = _distinct(cur[~ready])
             rows = [self.row(i) for i in missing]
             width = max(self.cum.shape[1], *(len(cum) for _, cum in rows))
             self._grow(len(self.states), width)
@@ -537,9 +545,10 @@ class _RowTables:
     def stopped(self, cur):
         """Whether stop holds at each id of ``cur``."""
         known = self.stopped_at[cur]
-        unknown = list(dict.fromkeys(cur[known < 0].tolist()))
-        if unknown:
-            self.stopped_at[unknown] = [self.test(i) for i in unknown]
+        unknown = known < 0
+        if unknown.any():
+            new = _distinct(cur[unknown])
+            self.stopped_at[new] = [self.test(i) for i in new]
             known = self.stopped_at[cur]
         return known == 1
 
@@ -590,24 +599,28 @@ def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Traject
 
 
 def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: int,
-                   horizon: int) -> list:
+                   horizon: int) -> tuple:
     """First passages of ``samples`` independent walks from ``start``.
 
-    Entry i is (Z_t, t) for the first t in 1..horizon with stop(Z_t), or
-    None where the horizon ran out; the start itself is never tested, and
-    stop is called once per state reached.  Walk i draws from the child
-    stream (i).  The walks run in chunks of ``_SEED_CHUNK``; the walks of a
-    chunk take their states from ``_pcg64_streams`` and step together, one
-    ``_pcg64_random`` draw and one table step per time step, until at most
-    ``_TAIL`` of them are left.  Those finish one by one from their own
-    PCG64 states, in block draws (``_RowTables.finish``): each stream is
-    the walk's own, so every walk takes the same draws as alone.
+    Returns (states, ids, times): walk i first met stop at ``states[ids[i]]``
+    at time ``times[i]``, the first t in 1..horizon with stop(Z_t); both
+    arrays hold -1 where the horizon ran out.  ``states`` lists every state
+    the walks reached, each once, so callers tally exits by id.  The start
+    itself is never tested, and stop is called once per state reached.
+    Walk i draws from the child stream (i).  The walks run in chunks of
+    ``_SEED_CHUNK``; the walks of a chunk take their states from
+    ``_pcg64_streams`` and step together, one ``_pcg64_random`` draw and
+    one table step per time step, until at most ``_TAIL`` of them are left.
+    Those finish one by one from their own PCG64 states, in block draws
+    (``_RowTables.finish``): each stream is the walk's own, so every walk
+    takes the same draws as alone, whatever the chunk size.
     """
     np = _numpy()
     tables = _RowTables(kernel, start, stop)
     pool, hc = rng._pool()
     gen = np.random.Generator(np.random.PCG64(0))
-    out: list = [None] * samples
+    ids = np.full(samples, -1, np.intp)
+    times = np.full(samples, -1, np.intp)
     for lo in range(0, samples, _SEED_CHUNK):
         streams = _pcg64_streams(pool, hc, lo, min(lo + _SEED_CHUNK, samples))
         walk = np.arange(lo, lo + streams.shape[1])
@@ -618,8 +631,8 @@ def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: i
             cur = tables.step(cur, _pcg64_random(streams))
             hit = tables.stopped(cur)
             if hit.any():
-                for w, i in zip(walk[hit].tolist(), cur[hit].tolist()):
-                    out[w] = (tables.states[i], t)
+                done = walk[hit]
+                ids[done], times[done] = cur[hit], t
                 keep = ~hit
                 walk, cur, streams = walk[keep], cur[keep], streams[:, keep]
         if t < horizon:
@@ -627,8 +640,17 @@ def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: i
                 gen.bit_generator.state = _pcg64_state(stream)
                 i, end = tables.finish(gen, i, t, horizon)
                 if tables.stops[i]:
-                    out[w] = (tables.states[i], end)
-    return out
+                    ids[w], times[w] = i, end
+    return tables.states, ids, times
+
+
+def passage_counts(states, ids) -> list:
+    """(state, walks) for each state that ``first_passages`` walks stopped
+    at, in id order, from its ``states`` and ``ids``."""
+    np = _numpy()
+    per_state = np.bincount(ids[ids >= 0])
+    hit = np.flatnonzero(per_state)
+    return [(states[i], n) for i, n in zip(hit.tolist(), per_state[hit].tolist())]
 
 
 def fixed_length_ends(kernel: MarkovKernel, start, steps: int, samples: int,
@@ -637,16 +659,15 @@ def fixed_length_ends(kernel: MarkovKernel, start, steps: int, samples: int,
     each, in walk order; walk i takes draws i*steps .. i*steps + steps - 1
     of gen.
 
-    Chunks of at most ``_SEED_CHUNK`` walks and ``_SEED_CHUNK * MAX_BLOCK``
-    draws step together, one table step per time step.  Walks that would
-    make a chunk of fewer than ``_LOCKSTEP_MIN`` (long walks, or the last
-    few) run one after another through ``_RowTables.finish`` with a stop
-    that never holds, where a numpy pass would cost more than their scalar
-    steps.
+    Chunks of at most ``_SEED_CHUNK`` walks and ``_CHUNK_DRAWS`` draws step
+    together, one table step per time step.  Walks that would make a chunk
+    of fewer than ``_LOCKSTEP_MIN`` (long walks, or the last few) run one
+    after another through ``_RowTables.finish`` with a stop that never
+    holds, where a numpy pass would cost more than their scalar steps.
     """
     np = _numpy()
     tables = _RowTables(kernel, start, lambda x: False)
-    chunk = min(_SEED_CHUNK, _SEED_CHUNK * MAX_BLOCK // max(steps, 1))
+    chunk = min(_SEED_CHUNK, _CHUNK_DRAWS // max(steps, 1))
     ends: list = []
     while chunk >= _LOCKSTEP_MIN and samples - len(ends) >= _LOCKSTEP_MIN:
         n = min(chunk, samples - len(ends))

@@ -38,7 +38,7 @@ def chisquare_expected(counts, probs) -> ChiSquareResult:
     if total <= 0:
         raise ValueError("need at least one observation")
     support = [i for i, p in enumerate(probs) if p > 0]
-    off_support = sum(counts[i] for i in range(len(counts)) if i not in set(support))
+    off_support = sum(c for c, p in zip(counts, probs) if not p > 0)
     if off_support > 0:
         return ChiSquareResult(statistic=float("inf"), dof=max(len(support) - 1, 0),
                                p_value=0.0)

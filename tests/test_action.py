@@ -217,6 +217,15 @@ def test_return_time_z_mod_2z_deterministic():
     assert set(times) == {2}
 
 
+def test_return_times_leave_out_the_walks_censored_at_the_horizon():
+    from chamberwalk.action import return_time_samples
+
+    kernel = kernel_from_network(cycle_network(8))
+    times, unresolved = return_time_samples(kernel, 0, 500, RngStream(9), horizon=6)
+    assert 0 < unresolved < 500 and len(times) + unresolved == 500
+    assert set(times.tolist()) == {2, 4, 6}
+
+
 def test_return_time_stats_c6():
     qnet = quotient_network(cycle_network(6), c6_rotation_action(3))
     stats = return_time_stats(qnet, 0, samples=4000, rng=RngStream(8), exp_rate=0.05)

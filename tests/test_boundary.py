@@ -1,6 +1,7 @@
 """Cylinder measures, isotropic kernels, exit statistics, colouring detector."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from chamberwalk.boundary import (
     special_subgroup_detect,
 )
 from chamberwalk.buildings import A2Ball, SphericalA2, TreeBuilding
-from chamberwalk.netwalk import RngStream
-from chamberwalk.stats import chisquare_uniform
+from chamberwalk.netwalk import RngStream, encode_node, first_passages
+from chamberwalk.stats import ChiSquareResult, chisquare_uniform, combine_chisquares
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,11 @@ def tree2():
 @pytest.fixture(scope="module")
 def ball22():
     return A2Ball(2, 2)
+
+
+@pytest.fixture(scope="module")
+def ball23():
+    return A2Ball(2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +347,45 @@ def test_tree_exit_cells_feed_one_sphere_chisquare(tree2):
     tally = dict(stats.counts)
     assert set(tally) <= set(sphere)
     assert stats.chi == chisquare_uniform([tally.get(v, 0) for v in sphere])
+
+
+def _hitting_by_exit_tuples(ik, o, level, samples, rng, horizon=100000):
+    """counts, unresolved and chi as boundary_hitting_mc formed them from one
+    (state, t) entry per walk: a Counter over the exit states, each mapped
+    through exit_cell, the tally sorted by encode_node."""
+    model = ik.model
+    states, ids, times = first_passages(ik.kernel(), o,
+                                        lambda z: max(model.sigma(o, z)) >= level,
+                                        rng, samples, horizon)
+    hits = [None if i < 0 else (states[i], t) for i, t in zip(ids.tolist(), times.tolist())]
+    tally = Counter()
+    for z, c in Counter(hit[0] for hit in hits if hit is not None).items():
+        tally[model.exit_cell(o, z, level)] += c
+    parts = []
+    for cells in model.exit_classes(o, level).values():
+        counts = [tally.get(v, 0) for v in cells]
+        if sum(counts) > 0:
+            parts.append(chisquare_uniform(counts))
+    stat = combine_chisquares(parts) if parts else ChiSquareResult(float("inf"), 0, 0.0)
+    counts = tuple(sorted(tally.items(), key=lambda t: encode_node(t[0])))
+    return counts, hits.count(None), stat
+
+
+@pytest.mark.parametrize("model, level, samples, horizon", [
+    ("tree2", 3, 3000, 100000),
+    ("ball23", 2, 2000, 100000),
+    ("ball23", 2, 300, 3),     # some walks still out at the horizon
+], ids=["tree-level-3", "a2-ball-level-2", "a2-ball-unresolved"])
+def test_hitting_counts_equal_the_exit_tuple_tally(model, level, samples, horizon, request):
+    model = request.getfixturevalue(model)
+    ik = IsotropicKernel(model)
+    o = () if isinstance(model, TreeBuilding) else model.origin
+    stats = boundary_hitting_mc(ik, o, level, samples, RngStream(7107), horizon=horizon)
+    counts, unresolved, chi = _hitting_by_exit_tuples(ik, o, level, samples,
+                                                      RngStream(7107), horizon)
+    assert (stats.counts, stats.unresolved, stats.chi) == (counts, unresolved, chi)
+    assert all(type(c) is int for _, c in stats.counts) and type(stats.unresolved) is int
+    assert stats.counts and (unresolved > 0) == (horizon == 3)
 
 
 def test_hitting_tree_worker_count_invariance(tree2):

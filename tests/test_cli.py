@@ -533,6 +533,31 @@ def test_induce_exact_rows(capsys):
         assert others == ["1/4", "1/4"]
 
 
+_FLOAT_NET7 = {
+    "nodes": [10, 9, 2, "a", [0, 1], 5, 3],
+    "edges": [[10, 9, 0.1], [10, 2, 0.7], [9, 2, 0.3], [2, "a", 1.1], ["a", [0, 1], 0.2],
+              [[0, 1], 5, 0.9], [5, 3, 0.6], [3, 10, 1.3], [9, 5, 0.4], ["a", 3, 2.5]],
+}
+
+
+def test_induce_on_float_conductances_passes_within_rounding(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_FLOAT_NET7))
+    code, report = run_json(capsys, "induce", "--network", str(path),
+                            "--subset", '[10, 2, "a", [0, 1]]')
+    # rounding leaves a defect above 0; floats are judged within 1e-12
+    assert 0 < report["reversibility_defect"] <= 1e-12
+    assert (code, report["verdict"]) == (0, True)
+    assert report["subset"] == ["10", "2", "'a'", "(0, 1)"]
+    # the same network in exact rationals still needs a zero defect, and has it
+    exact = dict(_FLOAT_NET7, edges=[[u, v, str(Fraction(str(a)))]
+                                     for u, v, a in _FLOAT_NET7["edges"]])
+    path.write_text(json.dumps(exact))
+    code, report = run_json(capsys, "induce", "--network", str(path),
+                            "--subset", '[10, 2, "a", [0, 1]]')
+    assert (code, report["verdict"], report["reversibility_defect"]) == (0, True, 0)
+
+
 def test_quotient_rotation_exact(capsys):
     code, report = run_json(capsys, "quotient", "--family", "cycle:6",
                             "--action", "rotation:2")

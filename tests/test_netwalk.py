@@ -13,14 +13,15 @@ import pytest
 
 from chamberwalk.boundary import IsotropicKernel
 from chamberwalk.buildings import A2Ball, TreeBuilding
+from chamberwalk import netwalk
 from chamberwalk.errors import SchemaError
 from chamberwalk.discretize import induced_kernel_exact
 from chamberwalk.netwalk import (
+    _CHUNK_DRAWS,
     _LOCKSTEP_MIN,
     _SEED_CHUNK,
     _TAIL,
     EXACT_SOLVE_LIMIT,
-    MAX_BLOCK,
     FiniteNetwork,
     LazyNetwork,
     MarkovKernel,
@@ -137,7 +138,7 @@ def test_first_passages_never_test_the_start():
     # every walk starts inside the stop set; on a cycle of 6 the earliest
     # return is at t = 2, so no entry may read (0, 0) or (z, 1)
     kern = kernel_from_network(cycle_network(6))
-    hits = first_passages(kern, 0, lambda z: z == 0, RngStream(5), 60, 1000)
+    hits = _hits(first_passages(kern, 0, lambda z: z == 0, RngStream(5), 60, 1000))
     assert len(hits) == 60
     assert all(hit is not None and hit[0] == 0 and hit[1] >= 2 and hit[1] % 2 == 0
                for hit in hits)
@@ -145,7 +146,7 @@ def test_first_passages_never_test_the_start():
 
 def test_first_passages_stop_at_the_first_hit_within_the_horizon():
     kern = kernel_from_network(cycle_network(7))
-    hits = first_passages(kern, 0, lambda z: z in (3, 4), RngStream(8), 80, 6)
+    hits = _hits(first_passages(kern, 0, lambda z: z in (3, 4), RngStream(8), 80, 6))
     resolved = [hit for hit in hits if hit is not None]
     assert resolved and len(resolved) < len(hits)
     assert all(z in (3, 4) and 3 <= t <= 6 for z, t in resolved)
@@ -160,7 +161,7 @@ def test_first_passages_stop_at_the_first_hit_within_the_horizon():
 
 def test_first_passages_unreachable_stop_in_one_step():
     kern = kernel_from_network(cycle_network(6))
-    assert first_passages(kern, 0, lambda z: z == 3, RngStream(2), 25, 1) == [None] * 25
+    assert _hits(first_passages(kern, 0, lambda z: z == 3, RngStream(2), 25, 1)) == [None] * 25
 
 
 # -- stream identity and the compiled walk step ----------------------------------
@@ -232,6 +233,12 @@ def _scan_step(row, u):
         if u < acc:
             return y
     return row[-1][0]
+
+
+def _hits(passages):
+    """first_passages' (states, ids, times) as one (Z_t, t) or None per walk."""
+    states, ids, times = passages
+    return [None if i < 0 else (states[i], t) for i, t in zip(ids.tolist(), times.tolist())]
 
 
 def _reference_first_passages(kernel, start, stop, rng, samples, horizon):
@@ -306,7 +313,7 @@ def _ragged_float_walks():
                          ids=["tree", "a2-ball", "cycle"])
 def test_first_passages_equal_a_scalar_linear_scan_loop(walks):
     kernel, start, stop, rng, samples, horizon = walks()
-    hits = first_passages(kernel, start, stop, rng, samples, horizon)
+    hits = _hits(first_passages(kernel, start, stop, rng, samples, horizon))
     assert hits == _reference_first_passages(kernel, start, stop, rng, samples, horizon)
     assert None in hits and any(hit is not None for hit in hits)
 
@@ -316,14 +323,14 @@ def test_first_passages_equal_a_scalar_linear_scan_loop(walks):
                          ids=["two-chunk-edges", "long-returns", "ragged-exact", "ragged-float"])
 def test_lockstep_chunks_tails_and_ragged_rows_equal_the_scalar_loop(walks):
     kernel, start, stop, rng, samples, horizon = walks()
-    hits = first_passages(kernel, start, stop, rng, samples, horizon)
+    hits = _hits(first_passages(kernel, start, stop, rng, samples, horizon))
     assert hits == _reference_first_passages(kernel, start, stop, rng, samples, horizon)
     assert any(hit is not None for hit in hits)
 
 
 @pytest.mark.parametrize("steps, samples", [
     (0, 5), (3, 2 * _SEED_CHUNK + _LOCKSTEP_MIN + 1), (3, _SEED_CHUNK + 9),
-    (_SEED_CHUNK * MAX_BLOCK // 200, 203), (_SEED_CHUNK * MAX_BLOCK // 100, 3),
+    (_CHUNK_DRAWS // 200, 203), (_CHUNK_DRAWS // 100, 3),
 ], ids=["no-steps", "lockstep-chunks", "scalar-rest", "short-chunk", "scalar-only"])
 def test_fixed_length_ends_equal_a_scalar_loop(steps, samples):
     kernel = _random_rows(random.Random(49), 20, False)
@@ -340,7 +347,7 @@ def test_fixed_length_ends_equal_a_scalar_loop(steps, samples):
 
 
 def test_long_return_walks_reach_the_scalar_tail_after_lockstep_steps():
-    hits = first_passages(*_long_return_walks())
+    hits = _hits(first_passages(*_long_return_walks()))
     # more than _TAIL walks are out after 60 steps, so at least 60 steps ran
     # in lockstep; the last walks run on to thousands of steps and the horizon
     assert sum(hit is None or hit[1] > 60 for hit in hits) > _TAIL
@@ -352,10 +359,66 @@ def test_long_return_walks_reach_the_scalar_tail_after_lockstep_steps():
 def test_first_passages_at_horizons_zero_and_one(horizon, samples):
     kernel = _random_rows(random.Random(48), 12, True)
     stop = lambda z: z % 3 == 0     # noqa: E731
-    hits = first_passages(kernel, 4, stop, RngStream(48), samples, horizon)
+    hits = _hits(first_passages(kernel, 4, stop, RngStream(48), samples, horizon))
     assert hits == _reference_first_passages(kernel, 4, stop, RngStream(48), samples, horizon)
     if horizon == 0:
         assert hits == [None] * samples
+
+
+# 1,024 was the chunk before; 129 is odd and above _LOCKSTEP_MIN, so lockstep still runs
+_CHUNKS = (1024, _SEED_CHUNK, 129)
+
+
+def _tree_exit_walks():
+    tree = TreeBuilding(2)
+    return (IsotropicKernel(tree).kernel(), (), lambda z: tree.distance((), z) >= 3,
+            RngStream(50), 3000, 100000)
+
+
+def _cycle_return_walks():
+    return (kernel_from_network(cycle_network(60)), 0, lambda z: z == 0,
+            RngStream(51), 1300, 100000)
+
+
+@pytest.mark.parametrize("walks", [_tree_exit_walks, _cycle_return_walks],
+                         ids=["tree-exits", "cycle-returns"])
+def test_first_passages_do_not_depend_on_the_chunk_size(walks, monkeypatch):
+    runs = []
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(netwalk, "_SEED_CHUNK", chunk)
+        states, ids, times = first_passages(*walks())
+        runs.append(([states[i] for i in ids.tolist()], times.tolist()))
+    assert runs[0] == runs[1] == runs[2]
+    _, times = runs[0]
+    assert -1 not in times
+    if walks is _cycle_return_walks:
+        # more than a chunk of walks, the last of each chunk far out in the scalar tail
+        assert len(times) > 1024 and sum(t > 1000 for t in times) > 3
+
+
+class _CountingGenerator:
+    """A Generator that records how many uniforms each draw takes."""
+
+    def __init__(self, gen):
+        self.gen, self.sizes = gen, []
+
+    def random(self, size=None):
+        self.sizes.append(1 if size is None else size)
+        return self.gen.random(size)
+
+
+@pytest.mark.parametrize("steps, samples", [(3, 5000), (_CHUNK_DRAWS // 130, 131)],
+                         ids=["short-walks", "draw-bound"])
+def test_fixed_length_ends_do_not_depend_on_the_chunk_size(steps, samples, monkeypatch):
+    kernel = _random_rows(random.Random(52), 20, False)
+    runs = []
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(netwalk, "_SEED_CHUNK", chunk)
+        gen = _CountingGenerator(RngStream(52).generator())
+        runs.append(fixed_length_ends(kernel, 0, steps, samples, gen))
+        assert max(gen.sizes) <= 1024 * 1024
+        assert sum(gen.sizes) == steps * samples
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_step_equals_the_linear_scan_at_every_cumulative_value():

@@ -1,11 +1,12 @@
 """Chi-square helpers: the survival function behind every p-value."""
 
 import math
+import random
 
 from scipy.special import chdtrc
 from scipy.stats import chi2
 
-from chamberwalk.stats import chisquare_expected, chisquare_uniform, combine_chisquares
+from chamberwalk.stats import ChiSquareResult, chisquare_expected, chisquare_uniform, combine_chisquares
 
 
 def test_chdtrc_equals_chi2_sf_bit_for_bit_on_a_grid():
@@ -31,3 +32,32 @@ def test_combining_one_result_returns_it_unchanged():
     for counts in ([30, 50, 20], [5, 0, 0, 7], [0, 9, 1], [4]):
         r = chisquare_uniform(counts)
         assert combine_chisquares([r]) == r
+
+
+def _chisquare_by_support_scan(counts, probs):
+    """chisquare_expected as it was written first: the support rebuilt as a
+    set for every cell it scans."""
+    support = [i for i, p in enumerate(probs) if p > 0]
+    off_support = sum(counts[i] for i in range(len(counts)) if i not in set(support))
+    if off_support > 0:
+        return ChiSquareResult(float("inf"), max(len(support) - 1, 0), 0.0)
+    stat = 0.0
+    for i in support:
+        expected = float(probs[i]) * sum(counts)
+        stat += (counts[i] - expected) ** 2 / expected
+    dof = len(support) - 1
+    return ChiSquareResult(stat, dof, float(chi2.sf(stat, dof)))
+
+
+def test_chisquare_expected_equals_the_support_scan_on_672_cells():
+    rand = random.Random(19)
+    probs = [rand.randint(1, 9) for _ in range(672)]
+    probs[300] = 0
+    total = sum(probs)
+    probs = [p / total for p in probs]
+    counts = [rand.randint(0, 40) for _ in range(672)]
+    for mass in (0, 3):
+        counts[300] = mass
+        res = chisquare_expected(counts, probs)
+        assert res == _chisquare_by_support_scan(counts, probs)
+        assert res.dof == 670 and (res.statistic == math.inf) == (mass > 0)
