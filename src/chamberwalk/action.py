@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import SchemaError, SizeGuardError
@@ -56,12 +57,13 @@ class FiniteAction:
                 raise SchemaError(f"not a permutation of 0..{n - 1}: {g}")
         identity = tuple(range(n))
         seen = {identity}
-        frontier = [identity]
+        frontier = [identity] if n > 1 else []  # on 0 or 1 points it is the group
         while frontier:
             new = []
             for g in frontier:
+                compose = itemgetter(*g)    # h -> (h[g[0]], h[g[1]], ...)
                 for h in gens:
-                    comp = tuple([h[i] for i in g])
+                    comp = compose(h)
                     if comp not in seen:
                         if len(seen) >= GROUP_CLOSURE_LIMIT:
                             raise SizeGuardError("permutation group closure too large")

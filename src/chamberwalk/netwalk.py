@@ -369,11 +369,11 @@ class MarkovKernel:
     @classmethod
     def finite(cls, rows: dict, reversible_with=None) -> "MarkovKernel":
         """A kernel on the keys of rows; each row is sorted by ``encode_node``
-        here, once, kept as the row cache and validated."""
-        rows = {
-            x: tuple(sorted(((y, p) for y, p in row), key=lambda t: encode_node(t[0])))
-            for x, row in rows.items()
-        }
+        (one call per distinct target) here, once, kept as the row cache and
+        validated."""
+        rows = {x: [(y, p) for y, p in row] for x, row in rows.items()}
+        enc = {y: encode_node(y) for y in {y for row in rows.values() for y, _ in row}}
+        rows = {x: tuple(sorted(row, key=lambda t: enc[t[0]])) for x, row in rows.items()}
         exact = all(_is_exact_number(p) for row in rows.values() for _, p in row)
         kernel = cls(rows.__getitem__, nodes=tuple(rows), reversible_with=reversible_with,
                      is_exact=exact)
@@ -388,21 +388,23 @@ class MarkovKernel:
 
     def _validate_row(self, x, row) -> None:
         """Refuse a row that does not sum to 1 (within 1e-12 for float kernels)
-        or has a negative entry.  An exact row is summed once, in integers:
-        its numerators over the lcm of its denominators."""
+        or has a negative entry.  An exact row is read once, in integers: its
+        numerators over the lcm of its denominators are summed and signed."""
         if self.is_exact:
             try:
                 den = lcm(*(p.denominator for _, p in row))
             except AttributeError:  # a float from a LazyNetwork, which calls itself exact
                 raise ValueError(f"inexact probability in exact row of {x!r}") from None
-            num = sum(p.numerator * (den // p.denominator) for _, p in row)
-            if num != den:
-                raise ValueError(f"row of {x!r} sums to {Fraction(num, den)}, not 1")
+            nums = [p.numerator * (den // p.denominator) for _, p in row]
+            if sum(nums) != den:
+                raise ValueError(f"row of {x!r} sums to {Fraction(sum(nums), den)}, not 1")
+            negative = min(nums) < 0
         else:
             total = sum(p for _, p in row)
             if abs(float(total) - 1.0) > 1e-12:
                 raise ValueError(f"row of {x!r} sums to {total}, not 1")
-        if any((p < 0) for _, p in row):
+            negative = any(p < 0 for _, p in row)
+        if negative:
             raise ValueError(f"negative probability in row of {x!r}")
 
     def row(self, x):
@@ -429,13 +431,31 @@ class MarkovKernel:
 
 
 def kernel_from_network(net) -> MarkovKernel:
-    """p(x, y) = a(x, y) / m(x); fails on isolated nodes."""
+    """p(x, y) = a(x, y) / m(x); fails on isolated nodes.
+
+    On an exact finite network each node's conductances are read as integer
+    numerators n_y over the lcm den of their denominators, so that with
+    M = sum n_y, m(x) = M/den and p(x, y) = n_y/M: one Fraction per entry,
+    made from two integers.
+    """
 
     def row(x, mx, nbrs):
         if mx == 0:
             raise ValueError(f"node {x!r} has m = 0, no kernel row")
         return [(y, a / mx) for y, a in nbrs]
 
+    if isinstance(net, FiniteNetwork) and net.is_exact:
+        m, rows = {}, {}
+        for x in net.nodes:
+            nbrs = net._adj[x]
+            den = lcm(*(a.denominator for a in nbrs.values()))
+            nums = [(y, a.numerator * (den // a.denominator)) for y, a in nbrs.items()]
+            total = sum(v for _, v in nums)
+            if total == 0:
+                raise ValueError(f"node {x!r} has m = 0, no kernel row")
+            m[x] = Fraction(total, den)
+            rows[x] = [(y, Fraction(v, total)) for y, v in nums]
+        return MarkovKernel.finite(rows, reversible_with=m)
     if isinstance(net, FiniteNetwork):
         # rows in adjacency order, the order net.m sums in; finite sorts them
         m = {x: net.m(x) for x in net.nodes}
@@ -747,15 +767,31 @@ def solve_exact(rows, rhs_cols) -> list[list[Fraction]]:
 
 
 def _solve_sparse(rows, rhs_cols) -> list[dict]:
-    """solve_exact's elimination; each column x as {unknown: Fraction} holding
-    its nonzero entries only, in increasing order of the unknown."""
+    """solve_exact's columns x as {unknown: Fraction}, each holding its
+    nonzero entries only, in increasing order of the unknown: every
+    augmented row (right-hand side j in column n + j) is scaled by the lcm
+    of its denominators and handed to ``_eliminate``."""
     n = len(rows)
-    if n > EXACT_SOLVE_LIMIT:
-        raise ValueError(f"exact solve limited to {EXACT_SOLVE_LIMIT} unknowns")
-    aug: list = [{} for _ in range(n)]         # right-hand side j in column n + j
+    aug: list = [{} for _ in range(n)]
     for j, col in enumerate(rhs_cols):
         for i, v in _entries(col):
             aug[i][n + j] = v
+    for i, row in enumerate(rows):
+        entries = {c: v if isinstance(v, (int, Fraction)) else Fraction(v)
+                   for c, v in (*_entries(row), *aug[i].items()) if v}
+        den = lcm(*(v.denominator for v in entries.values()))
+        aug[i] = {c: v.numerator * (den // v.denominator) for c, v in entries.items()}
+    return _eliminate(aug, len(rhs_cols))
+
+
+def _eliminate(aug: list, k: int) -> list[dict]:
+    """The exact solver's one elimination, on n integer rows {column: int}:
+    unknowns in columns 0..n-1, right-hand side j in column n + j.  Returns
+    the k columns x as {unknown: Fraction}, nonzero entries only, in
+    increasing order of the unknown.  The rows are consumed."""
+    n = len(aug)
+    if n > EXACT_SOLVE_LIMIT:
+        raise ValueError(f"exact solve limited to {EXACT_SOLVE_LIMIT} unknowns")
     holders: list = [set() for _ in range(n)]   # rows with a nonzero in a column
     heap: list = []                             # (row length, row) diagonal pivots
 
@@ -774,11 +810,8 @@ def _solve_sparse(rows, rhs_cols) -> list[dict]:
             row[c] = row.get(c, 0) - b // g * v
         store(r, row)
 
-    for i, row in enumerate(rows):
-        entries = {c: v if isinstance(v, (int, Fraction)) else Fraction(v)
-                   for c, v in (*_entries(row), *aug[i].items()) if v}
-        den = lcm(*(v.denominator for v in entries.values()))
-        store(i, {c: v.numerator * (den // v.denominator) for c, v in entries.items()})
+    for i in range(n):
+        store(i, aug[i])
     free, order = set(range(n)), {}             # order: column -> its pivot row
     while len(order) < n:
         while heap:
@@ -800,13 +833,13 @@ def _solve_sparse(rows, rhs_cols) -> list[dict]:
         for r in holders[col]:
             if r != p and col in aug[r]:
                 clear(r, p, col)
-    cols: list = [{} for _ in rhs_cols]
+    cols: list = [{} for _ in range(k)]
     for c in range(n):      # each pivot row is now {c: d} plus its right-hand sides
         row = aug[order[c]]
         d = row[c]
-        for k, v in row.items():
-            if k >= n:
-                cols[k - n][c] = Fraction(v, d)
+        for j, v in row.items():
+            if j >= n:
+                cols[j - n][c] = Fraction(v, d)
     return cols
 
 
@@ -864,7 +897,7 @@ def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> tuple:
     into: dict = {}
     for x in transient:
         for y, p in kernel.row(x):
-            if p > 0:
+            if p:   # rows are checked nonnegative
                 into.setdefault(y, []).append(x)
     reach_a, stack = set(absorbing), list(absorbing)
     while stack:
@@ -874,27 +907,42 @@ def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> tuple:
                 stack.append(x)
     solvable = [x for x in transient if x in reach_a]
     idx = {x: i for i, x in enumerate(solvable)}
-    exact = kernel.is_exact and len(solvable) <= EXACT_SOLVE_LIMIT
+    n = len(solvable)
+    exact = kernel.is_exact and n <= EXACT_SOLVE_LIMIT
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-
-    rows = [{i: 1} for i in range(len(solvable))]
-    rhs: list = [{} for _ in absorbing]
-    for i, x in enumerate(solvable):
-        for y, p in kernel.row(x):
-            if y in idx:
-                rows[i][idx[y]] = rows[i].get(idx[y], 0) - p
-            elif y in col_of:
-                rhs[col_of[y]][i] = rhs[col_of[y]].get(i, 0) + p
-            # transitions into unreachable states lose their mass
-    if exact:
+    # (I - P) x = P 1_y on the solvable states; transitions into unreachable
+    # states lose their mass
+    if exact:   # row i times the lcm den of its denominators, in integers
+        rhs_col = {y: n + j for y, j in col_of.items()}
+        aug: list = []
+        for i, x in enumerate(solvable):
+            row = kernel.row(x)
+            den = lcm(*(p.denominator for _, p in row))
+            eq = {i: den}
+            for y, p in row:
+                if y in idx:
+                    c, v = idx[y], -p.numerator
+                elif y in rhs_col:
+                    c, v = rhs_col[y], p.numerator
+                else:
+                    continue
+                eq[c] = eq.get(c, 0) + v * (den // p.denominator)
+            aug.append(eq)
         solved: list = [{} for _ in solvable]
-        for y, col in zip(absorbing, _solve_sparse(rows, rhs)):
+        for y, col in zip(absorbing, _eliminate(aug, len(absorbing))):
             for i, v in col.items():
                 solved[i][y] = v
     else:   # every float entry, so that 0.0 and -0.0 keep their sign
+        rows = [{i: 1} for i in range(n)]
+        rhs: list = [{} for _ in absorbing]
+        for i, x in enumerate(solvable):
+            for y, p in kernel.row(x):
+                if y in idx:
+                    rows[i][idx[y]] = rows[i].get(idx[y], 0) - p
+                elif y in col_of:
+                    rhs[col_of[y]][i] = rhs[col_of[y]].get(i, 0) + p
         cols = solve_float(rows, rhs)[0]
-        solved = [{y: cols[j][i] for j, y in enumerate(absorbing)}
-                  for i in range(len(solvable))]
+        solved = [{y: cols[j][i] for j, y in enumerate(absorbing)} for i in range(n)]
 
     out: dict = {}
     for x in nodes:

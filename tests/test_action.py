@@ -54,6 +54,68 @@ def test_finite_action_reflection_stabilizer():
     assert refl.fundamental_domain() == [0, 1, 2]
 
 
+def _reference_closure(n, generators):
+    """The permutation group on n points generated by generators, as a sorted
+    tuple: the identity and the generators, closed under products of pairs."""
+    group = {tuple(range(n)), *map(tuple, generators)}
+    while True:
+        new = {tuple(g[h[i]] for i in range(n)) for g in group for h in group} - group
+        if not new:
+            return tuple(sorted(group))
+        group |= new
+
+
+@pytest.mark.parametrize("nodes, generators", [
+    ([], []),
+    ([], [()]),
+    (["a"], [[0]]),
+    (["a"], []),
+    ([0, 1], [[1, 0]]),
+    ([0, 1], [[0, 1]]),
+    ([0, 1], []),
+    (range(5), [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]),    # the symmetric group S5
+    (range(7), [[1, 2, 3, 4, 5, 6, 0], [6, 5, 4, 3, 2, 1, 0]]),   # dihedral, order 14
+    (range(6), [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 5, 4]]),  # Klein four, not transitive
+], ids=["0-none", "0-identity", "1-identity", "1-none", "2-swap", "2-identity", "2-none",
+        "s5", "dihedral-7", "klein-6"])
+def test_finite_action_elements_equal_a_reference_closure(nodes, generators):
+    nodes = list(nodes)
+    act = FiniteAction(nodes, generators)
+    assert act.elements == _reference_closure(len(nodes), generators)
+    for x in nodes:     # orbit-stabilizer
+        assert act.stabilizer_order(x) * len(act.orbit(x)) == len(act.elements)
+
+
+def test_rotation_two_on_cycle_404_has_its_202_rotations():
+    from chamberwalk.cli import _rotation_action
+
+    act = _rotation_action(404, 2)
+    expected = tuple(sorted(tuple((i + 2 * k) % 404 for i in range(404)) for k in range(202)))
+    assert act.elements == expected
+    assert act.fundamental_domain() == [0, 1] and act.stabilizer_order(3) == 1
+
+
+def test_group_closure_guard_trips_past_its_limit(monkeypatch, capsys):
+    import chamberwalk.action as action
+    from chamberwalk.cli import main
+    from chamberwalk.errors import SizeGuardError
+
+    s4 = [[1, 2, 3, 0], [1, 0, 2, 3]]
+    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 24)
+    assert len(FiniteAction(range(4), s4).elements) == 24
+    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 23)
+    with pytest.raises(SizeGuardError, match="^permutation group closure too large$"):
+        FiniteAction(range(4), s4)
+    # the CLI reports the guard with exit code 3: rotation:1 on cycle:24
+    # generates 24 rotations
+    assert main(["discretize", "--family", "cycle:24", "--action", "rotation:1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "size guard: permutation group closure too large\n"
+    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 24)
+    assert main(["discretize", "--family", "cycle:24", "--action", "rotation:1"]) == 0
+
+
 def test_covolume_integer_line():
     net = integer_line_network()
     act = IntegerTranslationAction(2)

@@ -817,3 +817,182 @@ def test_network_rows_follow_encode_order_not_insertion_order():
 
 def test_solve_exact_reads_float_entries_as_fractions():
     assert solve_exact([[0.5]], [[1]]) == [[Fraction(2)]]
+
+
+# -- exact chains in integers ---------------------------------------------------------
+
+def _division_reference(net):
+    """kernel_from_network's answer by the a/m(x) division, as (nodes, rows,
+    m): rows sorted by encode_node, m in node order."""
+    m = {x: net.m(x) for x in net.nodes}
+    rows = {x: tuple(sorted(((y, a / m[x]) for y, a in net._adj[x].items()),
+                            key=lambda t: repr(t[0]).encode()))
+            for x in net.nodes}
+    return list(net.nodes), rows, m
+
+
+def _dense_hitting(kern, absorbing):
+    """hitting_matrix by a dense solve_exact of a system assembled in
+    Fractions; the solvable states are found by sweeping the positive
+    entries until nothing new reaches the absorbing set."""
+    reach, grew = set(absorbing), True
+    while grew:
+        grew = False
+        for x in kern.nodes:
+            if x not in reach and any(p > 0 and y in reach for y, p in kern.row(x)):
+                reach.add(x)
+                grew = True
+    solvable = [x for x in kern.nodes if x in reach and x not in absorbing]
+    rows, rhs = _absorption_system(kern, absorbing, solvable)
+    k = len(solvable)
+    cols = solve_exact([[row.get(c, 0) for c in range(k)] for row in rows],
+                       [[b.get(i, 0) for i in range(k)] for b in rhs])
+    expected = {x: {y: Fraction(int(x == y)) for y in absorbing} for x in kern.nodes}
+    for i, x in enumerate(solvable):
+        expected[x] = {y: cols[j][i] for j, y in enumerate(absorbing)}
+    return expected
+
+
+def _string_network():
+    edges = [[0, 1, "2/3"], [1, 2, "5/7"], [2, 3, "1/6"], [3, 0, "9/4"], [1, 3, "3/10"],
+             [3, 4, "11/12"], [4, 5, "7/9"], [5, 2, "1"]]
+    return network_from_json({"nodes": list(range(6)), "edges": edges})
+
+
+def _self_loop_network():
+    # symmetric_p adds a self-loop at every node, of conductance 0 at the
+    # heaviest node
+    return random_network(random.Random(87), 11, symmetric_p=True)
+
+
+def _zero_edge_network():
+    return FiniteNetwork(range(6), [(0, 1, 2), (1, 2, Fraction(1, 3)), (2, 3, 0), (3, 4, 5),
+                                    (4, 5, Fraction(2, 7)), (1, 4, 1), (2, 5, 0), (5, 0, 3)])
+
+
+def _two_component_network():
+    # nodes 9, 10 and 11 cannot reach the absorbing sets, which lie in 0..8:
+    # the edge from 11 to 0 has conductance 0
+    main = random_network(random.Random(89), 9)
+    return FiniteNetwork(range(12), [*((u, v, a) for u in main.nodes
+                                       for v, a in main.neighbors(u) if u <= v),
+                                     (9, 10, Fraction(3, 2)), (10, 11, 4), (11, 11, 1),
+                                     (11, 0, 0)])
+
+
+def _mixed_lazy_kernel():
+    """An exact kernel on 0..9 whose rows are made on demand, with int and
+    Fraction entries: 0 and 9 stay put, 6 moves to 7 with probability 1,
+    3 has an int 0 entry."""
+    def row(x):
+        if x in (0, 9):
+            return [(x, 1)]
+        if x == 6:
+            return [(7, 1)]
+        if x == 3:
+            return [(2, Fraction(1, 2)), (4, Fraction(1, 2)), (8, 0)]
+        return [(x - 1, Fraction(1, 3)), (x, Fraction(1, 6)), (x + 1, Fraction(1, 2))]
+
+    return MarkovKernel(row, nodes=range(10))
+
+
+@pytest.mark.parametrize("kernel, absorbing", [
+    (lambda: kernel_from_network(_string_network()), [0, 4]),
+    (lambda: kernel_from_network(_string_network()), [5, 2, 1]),
+    (lambda: kernel_from_network(_self_loop_network()), [3, 7]),
+    (lambda: kernel_from_network(_self_loop_network()), [10, 0, 5, 1]),
+    (lambda: kernel_from_network(_zero_edge_network()), [3, 0]),
+    (lambda: kernel_from_network(_zero_edge_network()), [2]),
+    (lambda: kernel_from_network(_two_component_network()), [0, 4, 8]),
+    (lambda: kernel_from_network(_two_component_network()), [6]),
+    (_mixed_lazy_kernel, [0, 9]),
+    (_mixed_lazy_kernel, [5, 0]),
+], ids=["strings", "strings-3", "self-loops", "self-loops-4", "zero-edges",
+        "zero-edges-1", "unreachable", "unreachable-1", "mixed-lazy", "mixed-lazy-mid"])
+def test_integer_hitting_rows_equal_a_dense_solve(kernel, absorbing):
+    kern = kernel()
+    assert kern.is_exact
+    alpha = hitting_matrix(kern, absorbing)
+    assert alpha == _dense_hitting(kernel(), absorbing)
+    assert all(list(alpha[x]) == absorbing for x in kern.nodes)
+    assert all(type(v) is Fraction for row in alpha.values() for v in row.values())
+
+
+def test_unreachable_and_zero_edge_rows_are_zero():
+    alpha = hitting_matrix(kernel_from_network(_two_component_network()), [0, 4, 8])
+    assert [alpha[x] for x in (9, 10, 11)] == [{0: 0, 4: 0, 8: 0}] * 3
+    # the edges from 2 to 3 and 5 have conductance 0: 2 steps to 1 only
+    alpha = hitting_matrix(kernel_from_network(_zero_edge_network()), [2])
+    assert all(alpha[x] == {2: 1} for x in (0, 1, 4, 5)) and alpha[3] == {2: 1}
+    alpha = hitting_matrix(_mixed_lazy_kernel(), [5, 0])
+    assert alpha[9] == {5: 0, 0: 0} and alpha[6] == alpha[8] == {5: 0, 0: 0}
+
+
+@pytest.mark.parametrize("net", [
+    _string_network, _self_loop_network, _zero_edge_network, _two_component_network,
+    lambda: random_network(random.Random(91), 14), lambda: cycle_network(404),
+    lambda: FiniteNetwork([10, 9, 2], [(10, 9, 1), (10, 2, 2), (9, 2, 3)]),
+], ids=["strings", "self-loops", "zero-edges", "two-components", "random-14", "cycle-404",
+        "encode-order"])
+def test_exact_network_kernel_equals_the_division_reference(net):
+    net = net()
+    kernel = kernel_from_network(net)
+    nodes, rows, m = _division_reference(net)
+    assert list(kernel.nodes) == nodes and list(kernel._cache) == nodes
+    for x in nodes:
+        assert kernel.row(x) == rows[x]
+        assert [type(p) for _, p in kernel.row(x)] == [type(p) for _, p in rows[x]]
+    assert kernel.reversible_with == m and list(kernel.reversible_with) == nodes
+    assert all(type(v) is Fraction for v in kernel.reversible_with.values())
+
+
+@pytest.mark.parametrize("edges, node", [
+    ([(0, 1, 1)], 2),
+    ([(0, 1, 1), (2, 2, 0)], 2),
+    ([(0, 1, 0), (1, 2, "1/2")], 0),
+])
+def test_a_node_with_zero_weight_keeps_its_error_text(edges, node):
+    with pytest.raises(ValueError, match=rf"^node {node} has m = 0, no kernel row$"):
+        kernel_from_network(FiniteNetwork(range(3), edges))
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                        "__truediv__")
+
+
+def test_exact_hitting_assembly_does_no_fraction_arithmetic(monkeypatch):
+    """kernel_from_network and the exact hitting solve read numerators and
+    denominators only: with Fraction arithmetic refused they give the same
+    answers, and the only Fractions made are the back substitution's one per
+    nonzero solution entry, plus the shared zero and one."""
+    cases = [(cycle_network(404), tuple(range(0, 404, 2))),
+             (random_network(random.Random(97), 14), (2, 11, 5))]
+    expected = [netwalk._solve_hitting(kernel_from_network(net), absorbing)
+                for net, absorbing in cases]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the exact assembly")
+
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError, match="Fraction arithmetic"):
+        Fraction(1, 2) + Fraction(1, 3)
+    kernels = [kernel_from_network(net) for net, _ in cases]
+    got = []
+    for kern, (_, absorbing) in zip(kernels, cases):
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        made.clear()
+        got.append(netwalk._solve_hitting(kern, absorbing))
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+        nonzero = sum(len(row) for x, row in got[-1][1].items() if x not in absorbing)
+        assert len(made) == nonzero + 2
+    monkeypatch.undo()
+    assert got == expected
+    assert got[0][1][1] == {0: Fraction(1, 2), 2: Fraction(1, 2)}
