@@ -116,9 +116,6 @@ class FiniteAction:
     def inverse_key(self, key):
         return tuple(sorted(range(len(key)), key=lambda i: key[i]))
 
-    def random_key(self, gen: np.random.Generator):
-        return self.elements[int(gen.integers(len(self.elements)))]
-
 
 # -- lazy built-in actions --------------------------------------------------------
 

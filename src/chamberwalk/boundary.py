@@ -252,18 +252,6 @@ class HittingStats:
     def passes(self, significance: float = 0.01) -> bool:
         return not self.flagged and self.chi.passes(significance)
 
-    def to_json(self) -> dict:
-        return {
-            "check": "boundary-hitting",
-            "samples": self.samples,
-            "unresolved": self.unresolved,
-            "statistic": self.chi.statistic,
-            "dof": self.chi.dof,
-            "p_value": self.chi.p_value,
-            "truncation_limited": self.truncation_limited,
-            "verdict": self.passes(),
-        }
-
 
 def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
                         rng: RngStream, horizon: int = 100000,

@@ -92,12 +92,7 @@ class TreeBuilding:
         return out
 
     def distance(self, u, v) -> int:
-        c = 0
-        for a, b in zip(u, v):
-            if a != b:
-                break
-            c += 1
-        return (len(u) - c) + (len(v) - c)
+        return len(u) + len(v) - 2 * self._branch_depth(u, v)
 
     def sigma(self, x, y):
         return (self.distance(x, y),)
@@ -671,22 +666,6 @@ class A2Ball:
         """Whether the sector germs at o toward z and zp point into a common
         apartment through o, decided inside the link of o."""
         return self.link_opposite(self.first_chamber(o, z), self.first_chamber(o, zp))
-
-    def busemann_h(self, x, y, sector_vertices):
-        """sigma(x,z) - sigma(y,z) for deep sector vertices z, stability-checked.
-
-        The caller supplies at least two vertices along the sector, deepest
-        last; all must give the same difference.
-        """
-        if len(sector_vertices) < 2:
-            raise ValueError("need at least two sector vertices for stability")
-        vals = {
-            tuple(a - b for a, b in zip(self.sigma(x, z), self.sigma(y, z)))
-            for z in sector_vertices
-        }
-        if len(vals) != 1:
-            raise ValueError("Busemann value not stable at this depth")
-        return vals.pop()
 
 
 # -- spherical A2 buildings from projective planes ---------------------------------

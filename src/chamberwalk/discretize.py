@@ -30,20 +30,10 @@ from .netwalk import (
     RngStream,
     _hitting_rows,
     first_passages,
+    harmonic_defect,
     kernel_from_network,
     passage_counts,
 )
-
-
-def stopping_times(nodes, in_subset):
-    """Visit times and values of a trajectory in a subset.
-
-    Returns (taus, values) where taus lists every j with nodes[j] in the
-    subset, starting from tau_0 (so a start inside the subset gives
-    taus[0] = 0).
-    """
-    taus = [j for j, z in enumerate(nodes) if in_subset(z)]
-    return taus, [nodes[j] for j in taus]
 
 
 def mass_is_one(total) -> bool:
@@ -114,27 +104,13 @@ def harmonic_transfer_check(kernel: MarkovKernel, subset, f: dict) -> HarmonicTr
     subset_set = set(subset)
     h = harmonic_extension(kernel, subset, f)
     restriction = max(abs(h[y] - f[y]) for y in subset)
-    interior_nodes = [x for x in kernel.nodes if x not in subset_set]
-    interior = Fraction(0)
-    for x in interior_nodes:
-        ph = sum(p * h[y] for y, p in kernel.row(x))
-        interior = max(interior, abs(ph - h[x]))
-    q = induced_kernel_exact(kernel, subset)
-    qf_defect = Fraction(0)
-    for x in subset:
-        qf = sum(p * f[y] for y, p in q.row(x))
-        qf_defect = max(qf_defect, abs(qf - f[x]))
-    global_defect = None
-    if qf_defect == 0:
-        global_defect = Fraction(0)
-        for x in kernel.nodes:
-            ph = sum(p * h[y] for y, p in kernel.row(x))
-            global_defect = max(global_defect, abs(ph - h[x]))
+    interior = harmonic_defect(kernel, h, [x for x in kernel.nodes if x not in subset_set])
+    qf_defect = harmonic_defect(induced_kernel_exact(kernel, subset), f, subset)
     return HarmonicTransferReport(
         restriction_defect=restriction,
         interior_defect=interior,
         q_harmonic_input=qf_defect == 0,
-        global_defect=global_defect,
+        global_defect=harmonic_defect(kernel, h) if qf_defect == 0 else None,
     )
 
 
@@ -160,17 +136,8 @@ class LatticeMeasure:
     def total(self):
         return sum(p for _, p in self.entries)
 
-    def support(self):
-        return [k for k, _ in self.entries]
-
     def first_moment(self, action):
         return sum(p * action.key_distance(k) for k, p in self.entries)
-
-    def exponential_moment(self, action, c: float) -> float:
-        from math import exp
-
-        return float(sum(float(p) * exp(c * action.key_distance(k))
-                         for k, p in self.entries))
 
     def to_json(self) -> dict:
         from .netwalk import conductance_to_json

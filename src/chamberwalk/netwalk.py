@@ -248,9 +248,6 @@ class FiniteNetwork:
         zero = Fraction(0) if self.is_exact else 0.0
         return sum((a for a in self._adj[x].values()), zero)
 
-    def encode(self, x) -> bytes:
-        return encode_node(x)
-
     def to_json(self) -> dict:
         edges = []
         seen = set()
@@ -401,7 +398,7 @@ class MarkovKernel:
             negative = min(nums) < 0
         else:
             total = sum(p for _, p in row)
-            if abs(float(total) - 1.0) > 1e-12:
+            if not abs(float(total) - 1.0) <= 1e-12:    # a NaN fails this too
                 raise ValueError(f"row of {x!r} sums to {total}, not 1")
             negative = any(p < 0 for _, p in row)
         if negative:
@@ -419,9 +416,6 @@ class MarkovKernel:
             if z == y:
                 return p
         return Fraction(0) if self.is_exact else 0.0
-
-    def encode(self, x) -> bytes:
-        return self._encode_fn(x)
 
     def sample_next(self, x, gen: np.random.Generator):
         """The state after x for one uniform of gen: the walk step of

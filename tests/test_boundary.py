@@ -406,9 +406,6 @@ def test_hitting_ball_level_one(ball22):
     assert stats.passes()
     # exit level 1 is reached in one step, so counts split over 14 vertices
     assert len(stats.counts) == 14
-    doc = stats.to_json()
-    assert doc["check"] == "boundary-hitting"
-    assert doc["verdict"] is True
 
 
 def test_hitting_flags_exhausted_horizon(tree2):

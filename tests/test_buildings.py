@@ -717,21 +717,6 @@ def test_first_chamber_and_opposition_equal_enumeration(p, radius, ball22):
     assert regular and refused   # both outcomes exercised
 
 
-def test_ball_busemann_stable_and_cocycle(ball22):
-    o = ball22.origin
-    # sector vertices must lie deeper than every basepoint in play
-    sector = [_diag_class(2, 2 * k, k, 0) for k in (3, 4, 5)]
-    y = _diag_class(2, 2, 1, 0)
-    x2 = _diag_class(2, 4, 2, 0)
-    h_oy = ball22.busemann_h(o, y, sector)
-    assert h_oy == (1, 1)
-    h_yx2 = ball22.busemann_h(y, x2, sector)
-    h_ox2 = ball22.busemann_h(o, x2, sector)
-    assert tuple(a + b for a, b in zip(h_oy, h_yx2)) == h_ox2
-    with pytest.raises(ValueError):
-        ball22.busemann_h(o, y, sector[:1])
-
-
 def test_ball_network_export(ball22):
     doc = ball22.to_json()
     assert doc["family"] == "a2ball" and len(doc["vertices"]) == len(ball22.vertices)

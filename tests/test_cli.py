@@ -64,6 +64,14 @@ def test_named_suite_without_checks_is_not_green(capsys):
     assert code == 1
     assert report["suites"] == [{"suite": "tree-nlambda", "checks": [], "verdict": False}]
     assert report["verdict"] is False
+    # a count of 0 (or less) runs the suite's loop on nothing
+    for argv in (["induced-shadow", "--chains", "0"],
+                 ["induced-shadow", "--chains", "-2"],
+                 ["special-subgroups", "--trials", "0"],
+                 ["opposite-chambers", "--pairs", "0"]):
+        code, report = run_json(capsys, "verify", "--seed", "1", "--suite", *argv)
+        assert code == 1, argv
+        assert report["suites"][0]["verdict"] is False and report["verdict"] is False
 
 
 def _rotation_law(report):
@@ -489,8 +497,17 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
 
 def test_malformed_config_exits_2(tmp_path, capsys):
     conf = tmp_path / "bad.json"
-    conf.write_text("{not json")
-    assert main(["simulate", "--config", str(conf), "--seed", "1"]) == 2
+    # integer options from a config refuse a bool or a float
+    for text, argv in [
+        ("{not json", ["simulate", "--seed", "1"]),
+        ('{"p": 2.9}', ["ball"]),
+        ('{"radius": true}', ["ball"]),
+        ('{"level": 1.5}', ["verify", "--suite", "hitting-tree", "--seed", "1"]),
+        ('{"samples": 2.5}', ["verify", "--suite", "quotient-law", "--seed", "1"]),
+        ('{"q": [2.5, 2, 2]}', ["coxeter-tables"]),
+    ]:
+        conf.write_text(text)
+        assert main([*argv, "--config", str(conf)]) == 2, text
 
 
 # -- report content ----------------------------------------------------------------

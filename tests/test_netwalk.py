@@ -781,6 +781,7 @@ def test_finite_kernel_row_validation():
     ({0: [(0, 2), (1, Fraction(-1))], 1: [(1, 1)]}, "negative probability in row of 0"),
     ({"a": [("a", 0.5), ("b", 0.5 + 1e-9)], "b": [("b", 1.0)]},
      f"row of 'a' sums to {0.5 + (0.5 + 1e-9)}, not 1"),
+    ({0: [(0, float("nan")), (1, 0.5)], 1: [(1, 1.0)]}, "row of 0 sums to nan, not 1"),
 ])
 def test_finite_kernel_row_refusals_keep_their_texts(rows, message):
     with pytest.raises(ValueError) as err:
