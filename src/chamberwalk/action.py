@@ -315,8 +315,8 @@ class QuotientLawReport:
     chi_square: ChiSquareResult
     samples: int
 
-    def passes(self, significance: float = 0.01) -> bool:
-        return self.chi_square.passes(significance)
+    def passes(self) -> bool:
+        return self.chi_square.passes()
 
 
 def quotient_law_check(qnet: QuotientNetwork, start, steps: int, samples: int,

@@ -226,7 +226,7 @@ class IsotropicKernel:
         return out
 
     def kernel(self) -> MarkovKernel:
-        return MarkovKernel.lazy(self.row)
+        return MarkovKernel(self.row)
 
 
 # -- boundary hitting statistics -----------------------------------------------------
@@ -249,8 +249,8 @@ class HittingStats:
     def flagged(self) -> bool:
         return self.unresolved * 100 > self.samples
 
-    def passes(self, significance: float = 0.01) -> bool:
-        return not self.flagged and self.chi.passes(significance)
+    def passes(self) -> bool:
+        return not self.flagged and self.chi.passes()
 
 
 def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,

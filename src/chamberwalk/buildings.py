@@ -35,7 +35,6 @@ from math import gcd
 
 from .coxeter import RootSystem, WeylElement, WeylGroup, weyl_group
 from .errors import SizeGuardError
-from .netwalk import LazyNetwork
 
 
 # -- cylinders -------------------------------------------------------------------
@@ -139,9 +138,6 @@ class TreeBuilding:
         down = [u[:k] for k in range(len(u), c, -1)]
         up = [v[:k] for k in range(c, len(v) + 1)]
         return down + up
-
-    def network(self) -> LazyNetwork:
-        return LazyNetwork(lambda w: [(n, 1) for n in self.neighbors(w)])
 
     # -- ends: rays from the origin, given as finite deep words ------------------
 

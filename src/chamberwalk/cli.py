@@ -75,6 +75,7 @@ from .netwalk import (
     path_network,
     reversibility_defect,
     simulate,
+    _node_from_json,
 )
 
 SCHEMA = "chamberwalk/1"
@@ -130,6 +131,17 @@ def _read_json(path, what: str):
         raise SchemaError(f"{what} file nests too deeply") from exc
 
 
+def _read_flag(value, what: str):
+    """A flag's JSON text, or the value a config file gave it, with lists
+    read as tuples so they can name tree words and lattice rows."""
+    try:
+        return _node_from_json(json.loads(value) if isinstance(value, str) else value)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} must be JSON, got {value!r}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{what} nests lists too deeply") from exc
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     params: dict = {}
     path = getattr(args, "config", None)
@@ -155,22 +167,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise SchemaError(f"format must be json or csv, got {fmt!r}")
     return RunConfig(command=args.command, params=params, seed=seed,
                      samples=samples, out=out, fmt=fmt)
-
-
-def _tuplify(value):
-    """JSON arrays become tuples so they can name tree words and lattice rows."""
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
-def _parse_node(value):
-    if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"node must be JSON, got {value!r}") from exc
-    return _tuplify(value)
 
 
 # -- report output ---------------------------------------------------------------
@@ -249,8 +245,8 @@ FAMILIES = {
                      lambda _: (integer_line_network(), 0, None, _is_int)),
     "integer-sublattice": ("sublattice index", ("lattice",), ("translation",), lambda k: (
         integer_line_network(), 0, IntegerTranslationAction(k), _is_int)),
-    "tree": ("tree thickness", ("network",), ("involution",), lambda q: (
-        TreeBuilding(q).network(), (), None, InvolutionTreeAction(q + 1).contains)),
+    "tree": ("tree thickness", ("network",), ("involution",),
+             lambda q: _word_tree(InvolutionTreeAction(q + 1))),
     "free2-tree": (None, ("network", "lattice"), ("free",),
                    lambda _: _word_tree(FreeGroupTreeAction(2))),
     "free-tree": ("free rank", ("network", "lattice"), ("free",),
@@ -383,7 +379,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     net, start, _, is_node = family_setup(family, "network")
     raw_start = cfg.param("start")
     if raw_start is not None:
-        start = _parse_node(raw_start)
+        start = _read_flag(raw_start, "node")
     if not is_node(start):
         raise SchemaError(f"start node {start!r} is not in the network")
     steps = cfg.int_param("steps", 1000)
@@ -417,10 +413,9 @@ def cmd_induce(cfg: RunConfig) -> int:
     raw = cfg.param("subset")
     if raw is None:
         raise SchemaError("induce needs --subset as a JSON list of nodes")
-    subset_doc = json.loads(raw) if isinstance(raw, str) else raw
-    if not isinstance(subset_doc, list) or not subset_doc:
+    subset = _read_flag(raw, "subset")
+    if not isinstance(subset, tuple) or not subset:
         raise SchemaError("subset must be a nonempty JSON list")
-    subset = [_tuplify(x) for x in subset_doc]
     missing = [x for x in subset if x not in net.nodes]
     if missing:
         raise SchemaError(f"subset nodes not in the network: {missing!r}")

@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .netwalk import solve_exact
-
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -159,11 +157,14 @@ class RootSystem:
         """Whether a coweight lies in the lattice spanned by the coroots.
 
         In coweight coordinates the coroot alpha_i^vee is row i of the Cartan
-        matrix, so membership is an exact linear solve plus integrality.
+        matrix A, so cw is in it iff z A = cw has an integer solution
+        z = cw adj(A) / det(A); A is 1x1 or 2x2.
         """
-        # solve z . cartan = cw
-        (z,) = solve_exact(list(zip(*self.cartan)), [cw])
-        return all(x.denominator == 1 for x in z)
+        if self.rank == 1:
+            return cw[0] % self.cartan[0][0] == 0
+        (a, b), (c, d) = self.cartan
+        det = a * d - b * c
+        return (cw[0] * d - cw[1] * c) % det == 0 and (cw[1] * a - cw[0] * b) % det == 0
 
 
 def root_system(cartan_type: str) -> RootSystem:

@@ -268,14 +268,12 @@ class LazyNetwork:
     conductance) pairs of x, consistently in both directions.
     """
 
-    def __init__(self, neighbors_fn, encode_fn=encode_node) -> None:
+    def __init__(self, neighbors_fn) -> None:
         self._neighbors_fn = neighbors_fn
-        self._encode_fn = encode_fn
-        self.is_exact = True
 
     def neighbors(self, x):
         out = [(y, parse_conductance(a)) for y, a in self._neighbors_fn(x)]
-        return sorted(out, key=lambda t: self._encode_fn(t[0]))
+        return sorted(out, key=lambda t: encode_node(t[0]))
 
     def m(self, x):
         return sum((a for _, a in self.neighbors(x)), Fraction(0))
@@ -285,9 +283,6 @@ class LazyNetwork:
             if y == v:
                 return a
         return Fraction(0)
-
-    def encode(self, x) -> bytes:
-        return self._encode_fn(x)
 
 
 def _node_from_json(x):
@@ -353,11 +348,9 @@ def _cumulative(row):
 class MarkovKernel:
     """Transition kernel with finite rows, over a finite or lazy state space."""
 
-    def __init__(self, row_fn, nodes=None, encode_fn=encode_node,
-                 reversible_with=None, is_exact=True) -> None:
+    def __init__(self, row_fn, nodes=None, reversible_with=None, is_exact=True) -> None:
         self._row_fn = row_fn
         self.nodes = tuple(nodes) if nodes is not None else None
-        self._encode_fn = encode_fn
         self.reversible_with = reversible_with
         self.is_exact = is_exact
         self._cache: dict = {}
@@ -379,10 +372,6 @@ class MarkovKernel:
             kernel._validate_row(x, row)
         return kernel
 
-    @classmethod
-    def lazy(cls, row_fn, encode_fn=encode_node, is_exact=True) -> "MarkovKernel":
-        return cls(row_fn, nodes=None, encode_fn=encode_fn, is_exact=is_exact)
-
     def _validate_row(self, x, row) -> None:
         """Refuse a row that does not sum to 1 (within 1e-12 for float kernels)
         or has a negative entry.  An exact row is read once, in integers: its
@@ -390,7 +379,7 @@ class MarkovKernel:
         if self.is_exact:
             try:
                 den = lcm(*(p.denominator for _, p in row))
-            except AttributeError:  # a float from a LazyNetwork, which calls itself exact
+            except AttributeError:  # a float in a lazy kernel, which calls itself exact
                 raise ValueError(f"inexact probability in exact row of {x!r}") from None
             nums = [p.numerator * (den // p.denominator) for _, p in row]
             if sum(nums) != den:
@@ -406,7 +395,7 @@ class MarkovKernel:
 
     def row(self, x):
         if x not in self._cache:
-            row = tuple(sorted(self._row_fn(x), key=lambda t: self._encode_fn(t[0])))
+            row = tuple(sorted(self._row_fn(x), key=lambda t: encode_node(t[0])))
             self._validate_row(x, row)
             self._cache[x] = row
         return self._cache[x]
@@ -460,7 +449,7 @@ def kernel_from_network(net) -> MarkovKernel:
         nbrs = net.neighbors(x)     # LazyNetwork.m's sum, over the same sorted list
         return row(x, sum((a for _, a in nbrs), Fraction(0)), nbrs)
 
-    return MarkovKernel.lazy(row_fn, encode_fn=net.encode, is_exact=net.is_exact)
+    return MarkovKernel(row_fn)
 
 
 def reversibility_defect(kernel: MarkovKernel, m: dict):
@@ -729,11 +718,6 @@ def check_stationary(kernel: MarkovKernel, nu: dict):
 
 # -- linear solves ---------------------------------------------------------------
 
-def _entries(vec):
-    """(index, value) pairs of a dense sequence or a sparse {index: value} dict."""
-    return vec.items() if isinstance(vec, dict) else enumerate(vec)
-
-
 def _primitive(row: dict) -> dict:
     """An integer row divided by the gcd of its entries, zeros dropped."""
     row = {c: v for c, v in row.items() if v}
@@ -741,51 +725,20 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def solve_exact(rows, rhs_cols) -> list[list[Fraction]]:
-    """Solve A x = b exactly for each right-hand side b; returns the columns x.
-
-    A row of A is a dense sequence or a sparse {column: value} dict, and a
-    right-hand side a dense column or a sparse {row: value} dict, with
-    rational entries.  Fraction-free elimination (after E. H. Bareiss,
-    Math. Comp. 22, 1968, with each row's content gcd in place of his exact
-    division): every augmented row is scaled to integers, elimination
-    touches nonzero entries only and pivots on the diagonal, sparsest row
-    first, taking another row only where no diagonal pivot is left; the
-    back substitution divides once per nonzero of the solution, and every
-    other entry is one shared ``Fraction(0)``.  Raises ValueError on a
-    singular system and past ``EXACT_SOLVE_LIMIT`` unknowns.
-    """
-    zero = Fraction(0)
-    return [[col.get(i, zero) for i in range(len(rows))]
-            for col in _solve_sparse(rows, rhs_cols)]
-
-
-def _solve_sparse(rows, rhs_cols) -> list[dict]:
-    """solve_exact's columns x as {unknown: Fraction}, each holding its
-    nonzero entries only, in increasing order of the unknown: every
-    augmented row (right-hand side j in column n + j) is scaled by the lcm
-    of its denominators and handed to ``_eliminate``."""
-    n = len(rows)
-    aug: list = [{} for _ in range(n)]
-    for j, col in enumerate(rhs_cols):
-        for i, v in _entries(col):
-            aug[i][n + j] = v
-    for i, row in enumerate(rows):
-        entries = {c: v if isinstance(v, (int, Fraction)) else Fraction(v)
-                   for c, v in (*_entries(row), *aug[i].items()) if v}
-        den = lcm(*(v.denominator for v in entries.values()))
-        aug[i] = {c: v.numerator * (den // v.denominator) for c, v in entries.items()}
-    return _eliminate(aug, len(rhs_cols))
-
-
 def _eliminate(aug: list, k: int) -> list[dict]:
-    """The exact solver's one elimination, on n integer rows {column: int}:
-    unknowns in columns 0..n-1, right-hand side j in column n + j.  Returns
-    the k columns x as {unknown: Fraction}, nonzero entries only, in
-    increasing order of the unknown.  The rows are consumed."""
+    """The exact solver, on n integer rows {column: int}: unknowns in
+    columns 0..n-1, right-hand side j in column n + j.  Returns the k
+    columns x as {unknown: Fraction}, nonzero entries only, in increasing
+    order of the unknown.  The rows are consumed.
+
+    Fraction-free elimination (after E. H. Bareiss, Math. Comp. 22, 1968,
+    with each row's content gcd in place of his exact division) touches
+    nonzero entries only and pivots on the diagonal, sparsest row first,
+    taking another row only where no diagonal pivot is left; a singular
+    system raises ValueError.  The back substitution divides once per
+    nonzero of the solution.
+    """
     n = len(aug)
-    if n > EXACT_SOLVE_LIMIT:
-        raise ValueError(f"exact solve limited to {EXACT_SOLVE_LIMIT} unknowns")
     holders: list = [set() for _ in range(n)]   # rows with a nonzero in a column
     heap: list = []                             # (row length, row) diagonal pivots
 
@@ -837,21 +790,21 @@ def _eliminate(aug: list, k: int) -> list[dict]:
     return cols
 
 
-def solve_float(rows, rhs_cols):
-    """Float solve of solve_exact's systems, refined once; returns (cols, residual)."""
+def solve_float(rows, rhs_cols) -> list:
+    """Float solve of _solve_hitting's sparse systems, rows {column: value}
+    and right-hand sides {row: value}, refined once; returns the columns x."""
     np = _numpy()
     a = np.zeros((len(rows), len(rows)))
     b = np.zeros((len(rows), len(rhs_cols)))
     for i, row in enumerate(rows):
-        for c, v in _entries(row):
+        for c, v in row.items():
             a[i, c] = float(v)
     for j, col in enumerate(rhs_cols):
-        for i, v in _entries(col):
+        for i, v in col.items():
             b[i, j] = float(v)
     x = np.linalg.solve(a, b)
     x = x + np.linalg.solve(a, b - a @ x)
-    resid = float(np.max(np.abs(b - a @ x))) if b.size else 0.0
-    return x.T.tolist(), resid
+    return x.T.tolist()
 
 
 def hitting_matrix(kernel: MarkovKernel, absorbing) -> dict:
@@ -935,7 +888,7 @@ def _solve_hitting(kernel: MarkovKernel, absorbing: tuple) -> tuple:
                     rows[i][idx[y]] = rows[i].get(idx[y], 0) - p
                 elif y in col_of:
                     rhs[col_of[y]][i] = rhs[col_of[y]].get(i, 0) + p
-        cols = solve_float(rows, rhs)[0]
+        cols = solve_float(rows, rhs)
         solved = [{y: cols[j][i] for j, y in enumerate(absorbing)} for i in range(n)]
 
     out: dict = {}

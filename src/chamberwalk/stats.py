@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+SIGNIFICANCE = 0.01     # a test passes when its p-value is above this
 
 def _chi2_sf(dof: int, stat: float) -> float:
     """The chi-square survival function. scipy.special is imported here, not
@@ -26,8 +27,8 @@ class ChiSquareResult:
     dof: int
     p_value: float
 
-    def passes(self, significance: float = 0.01) -> bool:
-        return self.p_value > significance
+    def passes(self) -> bool:
+        return self.p_value > SIGNIFICANCE
 
 
 def chisquare_expected(counts, probs) -> ChiSquareResult:

@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 from collections import deque
-from fractions import Fraction
 
 import pytest
 

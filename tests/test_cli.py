@@ -508,6 +508,16 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ]:
         conf.write_text(text)
         assert main([*argv, "--config", str(conf)]) == 2, text
+    # node flags: JSON nesting 5,000 lists deep, and a dict node
+    deep = "[" * 5000 + "]" * 5000
+    for argv in (["simulate", "--seed", "1", "--family", "tree:2", "--start", deep],
+                 ["induce", "--family", "cycle:6", "--subset", deep],
+                 ["simulate", "--seed", "1", "--family", "cycle:6", "--start", '{"a": 1}'],
+                 ["induce", "--family", "cycle:6", "--subset", '[0, {"a": 1}]']):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[-1][:20]
+        err = capsys.readouterr().err
+        assert err.startswith("bad request: ") and "Traceback" not in err
 
 
 # -- report content ----------------------------------------------------------------

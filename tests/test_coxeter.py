@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -307,6 +308,15 @@ def test_types_are_weyl_invariant():
         # w(lambda) - lambda lies in the coroot lattice
         diff = tuple(a - b for a, b in zip(w.apply_coweight(cw), cw))
         assert rs.in_coroot_lattice(diff)
+    # against the coroot lattice enumerated as z A, z in a box wide enough
+    # to reach every coweight of [-3, 3]^rank
+    for name in TYPES:
+        r = root_system(name)
+        spanned = {tuple(sum(z[i] * r.cartan[i][j] for i in range(r.rank))
+                         for j in range(r.rank))
+                   for z in product(range(-20, 21), repeat=r.rank)}
+        for cw in product(range(-3, 4), repeat=r.rank):
+            assert r.in_coroot_lattice(cw) == (cw in spanned), (name, cw)
 
 
 def test_thickness_validation():

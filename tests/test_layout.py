@@ -1,4 +1,5 @@
-"""Layout rules for the package source: no name that nothing reaches."""
+"""Layout rules for the package source and tests: no name that nothing
+reaches, and no import that nothing uses."""
 
 import ast
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "chamberwalk").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # Names kept although only tests use them, each with the reason it stays.
 ALLOWED = {
@@ -74,3 +76,32 @@ def test_every_definition_is_reached_outside_itself():
 def test_the_allow_list_names_only_live_definitions():
     defined = {q for path in SOURCES for q, _, _ in _definitions(path)}
     assert set(ALLOWED) <= defined
+
+
+def _unused_imports(path):
+    """The names one module imports and never reads.  An ``import a.b``
+    binds ``a``; ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    assert [name for path in SOURCES + TESTS for name in _unused_imports(path)] == []
+
+
+def test_model_modules_import_no_network_layer():
+    # coxeter and buildings are pure models: networks over them live elsewhere
+    allowed = {"coxeter": {"errors"}, "buildings": {"coxeter", "errors"}}
+    for stem, modules in allowed.items():
+        tree = ast.parse((ROOT / "src" / "chamberwalk" / f"{stem}.py").read_text())
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert imported <= modules, stem

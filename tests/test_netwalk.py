@@ -40,10 +40,10 @@ from chamberwalk.netwalk import (
     path_network,
     reversibility_defect,
     simulate,
-    solve_exact,
     solve_float,
     _RowTables,
     _cumulative,
+    _eliminate,
     _hitting_rows,
     _pcg64_random,
     _pcg64_state,
@@ -558,63 +558,61 @@ def test_lazy_integer_line():
     assert all(abs(a - b) == 1 for a, b in zip(t.nodes, t.nodes[1:]))
 
 
-def test_solve_exact_small():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    cols = solve_exact(rows, [[Fraction(5), Fraction(10)]])
-    x = cols[0]
-    assert [2 * x[0] + x[1], x[0] + 3 * x[1]] == [5, 10]
+def _augmented(rows, rhs_cols):
+    """_eliminate's rows for integer rows {column: int} and integer
+    right-hand sides {row: int}: right-hand side j in column n + j."""
+    aug = [dict(row) for row in rows]
+    for j, col in enumerate(rhs_cols):
+        for i, v in col.items():
+            aug[i][len(rows) + j] = v
+    return aug
 
 
 def _residual(rows, rhs_cols, cols):
-    """Every entry of A x - b, for dense or sparse rows and columns."""
-    assert len(cols) == len(rhs_cols) and all(len(x) == len(rows) for x in cols)
-    out = []
-    for b, x in zip(rhs_cols, cols):
-        for i, row in enumerate(rows):
-            items = row.items() if isinstance(row, dict) else enumerate(row)
-            bi = b.get(i, 0) if isinstance(b, dict) else b[i]
-            out.append(sum(a * x[c] for c, a in items) - bi)
-    return out
+    """Every entry of A x - b, for sparse rows, right-hand sides and columns."""
+    assert len(cols) == len(rhs_cols)
+    return [sum(a * x.get(c, 0) for c, a in row.items()) - b.get(i, 0)
+            for b, x in zip(rhs_cols, cols) for i, row in enumerate(rows)]
 
 
 def test_solve_exact_sparse_m_matrices():
-    # I - P on a random sparse substochastic P: a nonsingular M-matrix, as in
-    # an absorption solve; a zero residual proves the unique solution
+    # _eliminate on 8 (S + 1) (I - P) for a random sparse substochastic P
+    # with row weights S: a nonsingular M-matrix, as in an absorption solve;
+    # a zero residual proves the unique solution
     rng = random.Random(61)
     for _ in range(25):
         n = rng.randint(1, 40)
         rows = []
         for i in range(n):
-            row = {i: Fraction(1)}
             out = rng.sample(range(n), min(n, rng.randint(1, 4)))
-            leak = Fraction(rng.randint(1, 3), 8) if rng.random() < 0.3 else Fraction(0)
+            keep = 8 - (rng.randint(1, 3) if rng.random() < 0.3 else 0)
             weights = [rng.randint(1, 9) for _ in out]
+            row = {i: 8 * (sum(weights) + 1)}
             for c, w in zip(out, weights):
-                row[c] = row.get(c, 0) - (1 - leak) * Fraction(w, sum(weights) + 1)
+                row[c] = row.get(c, 0) - keep * w
             rows.append(row)
-        rhs = [{i: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-                for i in rng.sample(range(n), rng.randint(0, n))} for _ in range(3)]
-        cols = solve_exact(rows, rhs)
-        assert all(isinstance(v, Fraction) for col in cols for v in col)
+        rhs = [{i: rng.randint(-4, 4) for i in rng.sample(range(n), rng.randint(0, n))}
+               for _ in range(3)]
+        cols = _eliminate(_augmented(rows, rhs), len(rhs))
+        assert all(type(v) is Fraction and v for col in cols for v in col.values())
+        assert all(list(col) == sorted(col) for col in cols)
         assert set(_residual(rows, rhs, cols)) <= {0}
-        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
-        dense_rhs = [[b.get(i, 0) for i in range(n)] for b in rhs]
-        assert solve_exact(dense, dense_rhs) == cols
 
 
 def test_solve_exact_swaps_rows_at_a_zero_pivot():
-    rows = [[0, 2, 1], [1, 0, 0], [3, 1, 0]]
-    rhs = [[Fraction(7), Fraction(1, 3), Fraction(5)], [1, 0, 0]]
-    cols = solve_exact(rows, rhs)
+    # no row holds its diagonal entry
+    rows = [{1: 2, 2: 1}, {0: 3}, {0: 3, 1: 1}]
+    rhs = [{0: 7, 1: 1, 2: 5}, {0: 1}]
+    cols = _eliminate(_augmented(rows, rhs), len(rhs))
     assert set(_residual(rows, rhs, cols)) == {0}
     assert cols[0][0] == Fraction(1, 3)
 
 
 def test_solve_exact_singular_raises():
     with pytest.raises(ValueError, match="singular"):
-        solve_exact([[1, 2], [Fraction(1, 2), 1]], [[1, 1]])
+        _eliminate(_augmented([{0: 1, 1: 2}, {0: 1, 1: 2}], [{0: 1, 1: 2}]), 1)
     with pytest.raises(ValueError, match="singular"):
-        solve_exact([{0: 1, 2: 1}, {1: 1}, {0: 2, 2: 2}], [{}])
+        _eliminate(_augmented([{0: 1, 2: 1}, {1: 1}, {0: 2, 2: 2}], [{}]), 1)
 
 
 def test_hitting_matrix_repeat_is_equal_and_fresh():
@@ -698,16 +696,8 @@ def test_hitting_matrix_with_many_absorbing_nodes_matches_a_dense_solve():
         kern = kernel_from_network(net)
         for size in (n // 2, n - 2):
             absorbing = rng.sample(range(n), size)
-            solvable = [x for x in range(n) if x not in absorbing]
-            rows, rhs = _absorption_system(kern, absorbing, solvable)
-            dense = [[row.get(c, 0) for c in range(len(solvable))] for row in rows]
-            cols = solve_exact(dense, [[b.get(i, 0) for i in range(len(solvable))]
-                                       for b in rhs])
-            expected = {x: {y: Fraction(int(x == y)) for y in absorbing} for x in net.nodes}
-            for i, x in enumerate(solvable):
-                expected[x] = {y: cols[j][i] for j, y in enumerate(absorbing)}
             alpha = hitting_matrix(kern, absorbing)
-            assert alpha == expected
+            _check_absorption(kern, absorbing, alpha)
             assert all(list(alpha[x]) == absorbing for x in net.nodes)
             assert all(type(v) is Fraction for row in alpha.values() for v in row.values())
             assert alpha[n + 1] == {y: 0 for y in absorbing}
@@ -718,7 +708,7 @@ def test_hitting_matrix_past_the_limit_returns_the_float_solve_bit_for_bit():
     kern = kernel_from_network(path_network(n))
     absorbing = [n - 1, 0, n // 2]
     solvable = [x for x in range(n) if x not in absorbing]
-    cols, _ = solve_float(*_absorption_system(kern, absorbing, solvable))
+    cols = solve_float(*_absorption_system(kern, absorbing, solvable))
     alpha = hitting_matrix(kern, absorbing)
     for i, x in enumerate(solvable):
         assert list(alpha[x]) == absorbing
@@ -816,10 +806,6 @@ def test_network_rows_follow_encode_order_not_insertion_order():
         assert kernel.row(x) == tuple((y, a / net.m(x)) for y, a in net.neighbors(x))
 
 
-def test_solve_exact_reads_float_entries_as_fractions():
-    assert solve_exact([[0.5]], [[1]]) == [[Fraction(2)]]
-
-
 # -- exact chains in integers ---------------------------------------------------------
 
 def _division_reference(net):
@@ -832,10 +818,12 @@ def _division_reference(net):
     return list(net.nodes), rows, m
 
 
-def _dense_hitting(kern, absorbing):
-    """hitting_matrix by a dense solve_exact of a system assembled in
-    Fractions; the solvable states are found by sweeping the positive
-    entries until nothing new reaches the absorbing set."""
+def _check_absorption(kern, absorbing, alpha):
+    """Assert that alpha solves the absorption equations exactly: a point
+    mass on absorbing x, zeros where the absorbing set is out of reach
+    (found by sweeping the positive entries until nothing new reaches it),
+    and alpha(x, .) = sum_z p(x, z) alpha(z, .) on every other x.  That
+    solution is unique, so alpha is the hitting matrix."""
     reach, grew = set(absorbing), True
     while grew:
         grew = False
@@ -843,15 +831,15 @@ def _dense_hitting(kern, absorbing):
             if x not in reach and any(p > 0 and y in reach for y, p in kern.row(x)):
                 reach.add(x)
                 grew = True
-    solvable = [x for x in kern.nodes if x in reach and x not in absorbing]
-    rows, rhs = _absorption_system(kern, absorbing, solvable)
-    k = len(solvable)
-    cols = solve_exact([[row.get(c, 0) for c in range(k)] for row in rows],
-                       [[b.get(i, 0) for i in range(k)] for b in rhs])
-    expected = {x: {y: Fraction(int(x == y)) for y in absorbing} for x in kern.nodes}
-    for i, x in enumerate(solvable):
-        expected[x] = {y: cols[j][i] for j, y in enumerate(absorbing)}
-    return expected
+    assert set(alpha) == set(kern.nodes)
+    for x in kern.nodes:
+        if x in absorbing:
+            assert alpha[x] == {y: int(x == y) for y in absorbing}
+        elif x not in reach:
+            assert alpha[x] == {y: 0 for y in absorbing}
+        else:
+            assert alpha[x] == {y: sum(p * alpha[z][y] for z, p in kern.row(x))
+                                for y in absorbing}
 
 
 def _string_network():
@@ -914,7 +902,7 @@ def test_integer_hitting_rows_equal_a_dense_solve(kernel, absorbing):
     kern = kernel()
     assert kern.is_exact
     alpha = hitting_matrix(kern, absorbing)
-    assert alpha == _dense_hitting(kernel(), absorbing)
+    _check_absorption(kernel(), absorbing, alpha)
     assert all(list(alpha[x]) == absorbing for x in kern.nodes)
     assert all(type(v) is Fraction for row in alpha.values() for v in row.values())
 
