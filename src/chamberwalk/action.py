@@ -18,7 +18,6 @@ q(pi(x), pi(y)) = sum over the orbit of y of p(x, y').
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -31,8 +30,8 @@ from .netwalk import (
     MarkovKernel,
     RngStream,
     first_passages,
-    fixed_length_ends,
     kernel_from_network,
+    passage_counts,
 )
 from .stats import ChiSquareResult, chisquare_expected
 
@@ -332,9 +331,10 @@ def quotient_law_check(qnet: QuotientNetwork, start, steps: int, samples: int,
     expected = exact_distribution_after(qkernel, qnet.project(start), steps)
     support = sorted(expected, key=repr)
     counts = {y: 0 for y in support}
-    ends = fixed_length_ends(ambient_kernel, start, steps, samples, rng.generator())
+    states, ids, _ = first_passages(ambient_kernel, start, lambda x: False, rng, samples,
+                                    steps)
     # each end's class, in the order the walks first reach it
-    for x, n in Counter(ends).items():
+    for x, n in passage_counts(states, ids):
         xbar = qnet.project(x)
         counts[xbar] = counts.get(xbar, 0) + n
     keys = sorted(counts, key=repr)
@@ -367,8 +367,8 @@ def return_time_samples(kernel: MarkovKernel, x, samples: int, rng: RngStream,
                         horizon: int = 10**6):
     """First return times to x, as an int array in walk order, and the
     number of walks censored at the horizon."""
-    _, ids, times = first_passages(kernel, x, lambda y: y == x, rng, samples, horizon)
-    times = times[ids >= 0]
+    _, _, times = first_passages(kernel, x, lambda y: y == x, rng, samples, horizon)
+    times = times[times >= 0]
     return times, samples - len(times)
 
 

@@ -273,10 +273,11 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
         raise ValueError("need at least one sample")
     model = ik.model
     classes = model.exit_classes(o, level)
-    states, ids, _ = first_passages(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
-                                    rng, samples, horizon)
+    states, ids, times = first_passages(ik.kernel(), o,
+                                        lambda z: max(model.sigma(o, z)) >= level,
+                                        rng, samples, horizon)
     tally: dict = {}
-    for z, n in passage_counts(states, ids):
+    for z, n in passage_counts(states, ids[times >= 0]):
         cell = model.exit_cell(o, z, level)
         tally[cell] = tally.get(cell, 0) + n
     parts = []
@@ -286,7 +287,7 @@ def boundary_hitting_mc(ik: IsotropicKernel, o, level: int, samples: int,
             parts.append(chisquare_uniform(counts))
     stat = combine_chisquares(parts) if parts else ChiSquareResult(float("inf"), 0, 0.0)
     counts = tuple(sorted(tally.items(), key=lambda t: encode_node(t[0])))
-    return HittingStats(counts=counts, samples=samples, unresolved=int((ids < 0).sum()),
+    return HittingStats(counts=counts, samples=samples, unresolved=int((times < 0).sum()),
                         chi=stat, truncation_limited=model.truncation_limited)
 
 

@@ -2,10 +2,10 @@
 
 Every subcommand reads an optional JSON config file (flags win on
 conflict), runs, and emits one versioned JSON report, plus CSV tables
-with --format csv.  Reports carry no timestamps, and all Monte Carlo
-routines draw from per-index child streams, so a fixed --seed reproduces
-byte-identical output.  Walks run in one thread: --workers is validated
-and otherwise ignored.
+with --format csv.  Reports carry no timestamps, and each Monte Carlo
+check draws in a fixed order from its own child stream of the seed, so a
+fixed --seed reproduces byte-identical output.  Walks run in one thread:
+--workers is validated and otherwise ignored.
 
 Exit codes: 0 every requested check passed, 1 a check failed, 2 the
 config or arguments were malformed, 3 a size guard refused the build.
@@ -238,9 +238,9 @@ def _is_int(x) -> bool:
 # their lattice action from --action.
 FAMILIES = {
     "cycle": ("cycle size", ("network", "lattice"), ("rotation",),
-              lambda n: (cycle_network(n), 0, None, range(n).__contains__)),
+              lambda n: (cycle_network(n), 0, None, lambda x: _is_int(x) and 0 <= x < n)),
     "path": ("path size", ("network",), (),
-             lambda n: (path_network(n), 0, None, range(n).__contains__)),
+             lambda n: (path_network(n), 0, None, lambda x: _is_int(x) and 0 <= x < n)),
     "integer-line": (None, ("network",), ("translation",),
                      lambda _: (integer_line_network(), 0, None, _is_int)),
     "integer-sublattice": ("sublattice index", ("lattice",), ("translation",), lambda k: (
@@ -382,9 +382,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         start = _read_flag(raw_start, "node")
     if not is_node(start):
         raise SchemaError(f"start node {start!r} is not in the network")
-    steps = cfg.int_param("steps", 1000)
-    if steps < 1:
-        raise SchemaError("steps must be positive")
+    steps = _positive_int(cfg.param("steps", 1000), "steps")
     trajectory = simulate(kernel_from_network(net), start, steps, rng)
     counts = occupation_counts(trajectory)
     occupation = [
@@ -416,9 +414,12 @@ def cmd_induce(cfg: RunConfig) -> int:
     subset = _read_flag(raw, "subset")
     if not isinstance(subset, tuple) or not subset:
         raise SchemaError("subset must be a nonempty JSON list")
-    missing = [x for x in subset if x not in net.nodes]
+    nodes = {encode_node(x) for x in net.nodes}
+    missing = [x for x in subset if encode_node(x) not in nodes]
     if missing:
         raise SchemaError(f"subset nodes not in the network: {missing!r}")
+    if len({encode_node(x) for x in subset}) < len(subset):
+        raise SchemaError(f"subset names a node twice: {list(subset)!r}")
     kernel = kernel_from_network(net)
     try:
         induced = induced_kernel_exact(kernel, subset)
@@ -455,6 +456,7 @@ def cmd_quotient(cfg: RunConfig) -> int:
     spec = cfg.param("action")
     if spec is None:
         raise SchemaError("quotient needs --action")
+    steps = _positive_int(cfg.param("steps", 5), "steps")
     net = family_setup(family, "network")[0]
     action = family_action(family, str(spec), net)
     finite = isinstance(action, FiniteAction)
@@ -473,12 +475,11 @@ def cmd_quotient(cfg: RunConfig) -> int:
     law = None
     if cfg.seed is not None:
         base = qnet.network.nodes[0]
-        law_report = quotient_law_check(
-            qnet, base, cfg.int_param("steps", 5),
-            cfg.sample_count(20000), RngStream(int(cfg.seed)).child(1))
+        law_report = quotient_law_check(qnet, base, steps, cfg.sample_count(20000),
+                                        RngStream(int(cfg.seed)).child(1))
         law = {
             "start": repr(base),
-            "steps": cfg.int_param("steps", 5),
+            "steps": steps,
             "samples": law_report.samples,
             "p_value": law_report.chi_square.p_value,
             "verdict": law_report.passes(),

@@ -268,9 +268,9 @@ def _integer_line_exact(net, action: IntegerTranslationAction, o: int,
 def _lattice_measure_mc(kernel: MarkovKernel, action, o, rng: RngStream,
                         samples: int, horizon: int) -> LatticeMeasure:
     home = action.canonicalize(o)
-    states, ids, _ = first_passages(kernel, o, lambda z: action.canonicalize(z) == home, rng,
-                                    samples, horizon)
-    counts = sorted(passage_counts(states, ids), key=lambda t: repr(t[0]))
+    states, ids, times = first_passages(kernel, o, lambda z: action.canonicalize(z) == home,
+                                        rng, samples, horizon)
+    counts = sorted(passage_counts(states, ids[times >= 0]), key=lambda t: repr(t[0]))
     row = [(y, c / samples) for y, c in counts]
-    unresolved = int((ids < 0).sum()) / samples
+    unresolved = int((times < 0).sum()) / samples
     return _measure_from_row(action, o, row, "mc", unresolved=unresolved)

@@ -29,54 +29,20 @@ FIRST_BLOCK, MAX_BLOCK = 4, 1024    # uniforms per draw in the walk loops
 
 # -- rng ---------------------------------------------------------------------
 
-_POOL = 4
-_SEED_CHUNK = 4096      # child streams hashed, and walks stepped, per numpy pass
-_CHUNK_DRAWS = 1024 * 1024  # uniforms drawn at once for the walks of fixed_length_ends
-_TAIL = 32              # walks of a chunk left to finish one by one
-_LOCKSTEP_MIN = 128     # fewer fixed-length walks than this step one by one
+_CHUNK = 4096   # walks stepped together per numpy pass
+_TAIL = 64      # walks of a chunk left to finish one by one
 
 np = None   # numpy, bound by _numpy() on first use: exact solves never need it
 
 
 def _numpy():
-    """numpy, imported on first use, and with it the RNG constants.
-
-    Every constant is a numpy scalar, so the uint arithmetic below keeps
-    its width under any promotion rules.  Walks, streams and float solves
-    call this once on entry; no per-step code calls it.
-    """
-    global np, _INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R, _SHIFT
-    global _U1, _U11, _U32, _U58, _U63, _U64, _LOW32, _M_HI, _M_LO, _M_LO1, _M_LO0
+    """numpy, imported on first use.  Walks, streams and float solves call
+    this once on entry; no per-step code calls it."""
+    global np
     if np is None:
         import numpy
-        # numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
-        _INIT_A, _MULT_A = numpy.uint32(0x43B0D7E5), numpy.uint32(0x931E8875)
-        _INIT_B, _MULT_B = numpy.uint32(0x8B51F9DD), numpy.uint32(0x58F38DED)
-        _MIX_L, _MIX_R = numpy.uint32(0xCA01F9DD), numpy.uint32(0x4973F715)
-        _SHIFT = numpy.uint32(16)
-        # PCG64 (M. E. O'Neill, HMC-CS-2014-0905) in uint64 halves: the
-        # 128-bit multiplier, and the 32-bit halves of its low word for the
-        # high product
-        _U1, _U11, _U32, _U58, _U63, _U64 = (numpy.uint64(n) for n in (1, 11, 32, 58, 63, 64))
-        _LOW32 = numpy.uint64(0xFFFFFFFF)
-        _M_HI, _M_LO = numpy.uint64(0x2360ED051FC65DA4), numpy.uint64(0x4385DF649FCCF645)
-        _M_LO1, _M_LO0 = _M_LO >> _U32, _M_LO & _LOW32
         np = numpy
     return np
-
-
-def _hashmix(value, hc, mult):
-    """SeedSequence's hashmix of a uint32 array; advances the one-element
-    uint32 array ``hc`` of the hash constant in place."""
-    value = value ^ hc
-    hc *= mult
-    value = value * hc
-    return value ^ (value >> _SHIFT)
-
-
-def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> _SHIFT)
 
 
 @dataclass(frozen=True)
@@ -99,84 +65,6 @@ class RngStream:
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.key + tuple(indices))
-
-    def _pool(self):
-        """(pool, hc): this stream's SeedSequence pool as a column of four
-        uint32 words, and the hash constant in a one-element uint32 array at
-        the point where a child's index would be mixed in.
-
-        A child's entropy is this stream's, padded to the pool of four
-        words, then i; so SeedSequence mixes i into this pool with hash
-        constants that depend only on the number of words before it.  A bad
-        seed or key is refused with numpy's own error, here.
-        """
-        np = _numpy()
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
-        # hashmix calls so far: one per pool word, 12 to mix the pool, and
-        # four per entropy word past the pool
-        words = [max(1, (int(n).bit_length() + 31) // 32) for n in (self.seed, *self.key)]
-        calls = 4 * (max(_POOL, words[0]) + sum(words[1:]))
-        hc = int(_INIT_A) * pow(int(_MULT_A), calls, 1 << 32) % (1 << 32)
-        return ss.pool.reshape(_POOL, 1), np.array([hc], np.uint32)
-
-
-def _pcg64_state(stream) -> dict:
-    """The ``bit_generator.state`` dict of one column of a streams array."""
-    s_hi, s_lo, i_hi, i_lo = stream
-    return {"bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _pcg64_streams(pool, hc, lo: int, hi: int):
-    """PCG64 states of children lo..hi-1 of the stream with pool and hash
-    constant ``hc`` (see RngStream._pool), as a (4, hi - lo) uint64 array
-    of rows state high, state low, increment high, increment low."""
-    np = _numpy()
-    child = np.arange(lo, hi, dtype=np.uint32)
-    hci = hc.copy()
-    mixed = [_mix(pool[dst], _hashmix(child, hci, _MULT_A)) for dst in range(_POOL)]
-    # generate_state(4, uint64): eight hashed uint32 words, paired low first
-    hco = np.array([_INIT_B], np.uint32)
-    out = [_hashmix(mixed[j % _POOL], hco, _MULT_B).astype(np.uint64)
-           for j in range(2 * _POOL)]
-    s_hi, s_lo, i_hi, i_lo = (out[2 * j] | (out[2 * j + 1] << _U32) for j in range(_POOL))
-    # PCG64's set_seed: inc = 2 initseq + 1, then two LCG steps from 0 with
-    # the seed added in between, i.e. state = inc + seed and one step
-    streams = np.stack([s_hi, s_lo, (i_hi << _U1) | (i_lo >> _U63), (i_lo << _U1) | _U1])
-    low = streams[1] + streams[3]
-    streams[0] += streams[2] + (low < streams[1])
-    streams[1] = low
-    _pcg64_step(streams)
-    return streams
-
-
-def _pcg64_step(streams) -> None:
-    """One LCG step, state = state * mult + inc mod 2**128, in place."""
-    s_hi, s_lo = streams[0], streams[1]
-    # the high word of s_lo * _M_LO, from 32-bit halves
-    a1, a0 = s_lo >> _U32, s_lo & _LOW32
-    p01, p10 = a0 * _M_LO1, a1 * _M_LO0
-    mid = (a0 * _M_LO0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry_hi = a1 * _M_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    low = s_lo * _M_LO
-    new_lo = low + streams[3]
-    s_hi *= _M_LO
-    s_hi += carry_hi + s_lo * _M_HI + streams[2] + (new_lo < low)
-    streams[1] = new_lo
-
-
-def _pcg64_random(streams):
-    """The next ``Generator.random()`` of every stream: one step, PCG64's
-    XSL-RR output, and its top 53 bits scaled to [0, 1)."""
-    if np is None:      # streams made outside this module; per step only this test runs
-        _numpy()
-    _pcg64_step(streams)
-    s_hi = streams[0]
-    x = s_hi ^ streams[1]
-    rot = s_hi >> _U58
-    x = (x >> rot) | (x << ((_U64 - rot) & _U63))     # rotate right; rot 0 keeps x
-    return (x >> _U11) * 2.0**-53
 
 
 # -- conductance values -------------------------------------------------------
@@ -348,16 +236,15 @@ def _cumulative(row):
 class MarkovKernel:
     """Transition kernel with finite rows, over a finite or lazy state space."""
 
-    def __init__(self, row_fn, nodes=None, reversible_with=None, is_exact=True) -> None:
+    def __init__(self, row_fn, nodes=None, is_exact=True) -> None:
         self._row_fn = row_fn
         self.nodes = tuple(nodes) if nodes is not None else None
-        self.reversible_with = reversible_with
         self.is_exact = is_exact
         self._cache: dict = {}
         self._hitting: dict = {}    # absorbing tuple -> (zero, sparse rows), see _hitting_rows
 
     @classmethod
-    def finite(cls, rows: dict, reversible_with=None) -> "MarkovKernel":
+    def finite(cls, rows: dict) -> "MarkovKernel":
         """A kernel on the keys of rows; each row is sorted by ``encode_node``
         (one call per distinct target) here, once, kept as the row cache and
         validated."""
@@ -365,8 +252,7 @@ class MarkovKernel:
         enc = {y: encode_node(y) for y in {y for row in rows.values() for y, _ in row}}
         rows = {x: tuple(sorted(row, key=lambda t: enc[t[0]])) for x, row in rows.items()}
         exact = all(_is_exact_number(p) for row in rows.values() for _, p in row)
-        kernel = cls(rows.__getitem__, nodes=tuple(rows), reversible_with=reversible_with,
-                     is_exact=exact)
+        kernel = cls(rows.__getitem__, nodes=tuple(rows), is_exact=exact)
         kernel._cache = rows
         for x, row in rows.items():
             kernel._validate_row(x, row)
@@ -417,9 +303,9 @@ def kernel_from_network(net) -> MarkovKernel:
     """p(x, y) = a(x, y) / m(x); fails on isolated nodes.
 
     On an exact finite network each node's conductances are read as integer
-    numerators n_y over the lcm den of their denominators, so that with
-    M = sum n_y, m(x) = M/den and p(x, y) = n_y/M: one Fraction per entry,
-    made from two integers.
+    numerators n_y over the lcm of their denominators, so that with
+    M = sum n_y, p(x, y) = n_y/M: one Fraction per entry, made from two
+    integers.
     """
 
     def row(x, mx, nbrs):
@@ -428,7 +314,7 @@ def kernel_from_network(net) -> MarkovKernel:
         return [(y, a / mx) for y, a in nbrs]
 
     if isinstance(net, FiniteNetwork) and net.is_exact:
-        m, rows = {}, {}
+        rows = {}
         for x in net.nodes:
             nbrs = net._adj[x]
             den = lcm(*(a.denominator for a in nbrs.values()))
@@ -436,14 +322,12 @@ def kernel_from_network(net) -> MarkovKernel:
             total = sum(v for _, v in nums)
             if total == 0:
                 raise ValueError(f"node {x!r} has m = 0, no kernel row")
-            m[x] = Fraction(total, den)
             rows[x] = [(y, Fraction(v, total)) for y, v in nums]
-        return MarkovKernel.finite(rows, reversible_with=m)
+        return MarkovKernel.finite(rows)
     if isinstance(net, FiniteNetwork):
         # rows in adjacency order, the order net.m sums in; finite sorts them
-        m = {x: net.m(x) for x in net.nodes}
-        rows = {x: row(x, m[x], net._adj[x].items()) for x in net.nodes}
-        return MarkovKernel.finite(rows, reversible_with=m)
+        return MarkovKernel.finite({x: row(x, net.m(x), net._adj[x].items())
+                                    for x in net.nodes})
 
     def row_fn(x):
         nbrs = net.neighbors(x)     # LazyNetwork.m's sum, over the same sorted list
@@ -605,83 +489,55 @@ def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: i
                    horizon: int) -> tuple:
     """First passages of ``samples`` independent walks from ``start``.
 
-    Returns (states, ids, times): walk i first met stop at ``states[ids[i]]``
-    at time ``times[i]``, the first t in 1..horizon with stop(Z_t); both
-    arrays hold -1 where the horizon ran out.  ``states`` lists every state
-    the walks reached, each once, so callers tally exits by id.  The start
-    itself is never tested, and stop is called once per state reached.
-    Walk i draws from the child stream (i).  The walks run in chunks of
-    ``_SEED_CHUNK``; the walks of a chunk take their states from
-    ``_pcg64_streams`` and step together, one ``_pcg64_random`` draw and
-    one table step per time step, until at most ``_TAIL`` of them are left.
-    Those finish one by one from their own PCG64 states, in block draws
-    (``_RowTables.finish``): each stream is the walk's own, so every walk
-    takes the same draws as alone, whatever the chunk size.
+    Returns (states, ids, times): walk i ends at ``states[ids[i]]``, its
+    first stop or its state at the horizon, and ``times[i]`` is the first t
+    in 1..horizon with stop(Z_t), or -1 where the horizon ran out.
+    ``states`` lists every state the walks reached, each once, so callers
+    tally ends by id.  The start itself is never tested, and stop is called
+    once per state reached.
+
+    Every draw comes from one ``rng.generator()``.  The walks run in chunks
+    of ``_CHUNK``; at each time step the live walks of a chunk take one
+    uniform each, in walk order, and step together, until at most ``_TAIL``
+    of them are left.  Those finish one after another through
+    ``_RowTables.finish``, drawing from the same generator.
     """
     np = _numpy()
+    gen = rng.generator()
     tables = _RowTables(kernel, start, stop)
-    pool, hc = rng._pool()
-    gen = np.random.Generator(np.random.PCG64(0))
-    ids = np.full(samples, -1, np.intp)
+    ids = np.zeros(samples, np.intp)
     times = np.full(samples, -1, np.intp)
-    for lo in range(0, samples, _SEED_CHUNK):
-        streams = _pcg64_streams(pool, hc, lo, min(lo + _SEED_CHUNK, samples))
-        walk = np.arange(lo, lo + streams.shape[1])
+    for lo in range(0, samples, _CHUNK):
+        walk = np.arange(lo, min(lo + _CHUNK, samples))
         cur = np.zeros(len(walk), np.intp)
         t = 0
         while t < horizon and len(walk) > _TAIL:
             t += 1
-            cur = tables.step(cur, _pcg64_random(streams))
+            cur = tables.step(cur, gen.random(len(walk)))
             hit = tables.stopped(cur)
             if hit.any():
                 done = walk[hit]
                 ids[done], times[done] = cur[hit], t
                 keep = ~hit
-                walk, cur, streams = walk[keep], cur[keep], streams[:, keep]
+                walk, cur = walk[keep], cur[keep]
+        ids[walk] = cur
         if t < horizon:
-            for w, i, stream in zip(walk.tolist(), cur.tolist(), streams.T.tolist()):
-                gen.bit_generator.state = _pcg64_state(stream)
+            for w, i in zip(walk.tolist(), cur.tolist()):
                 i, end = tables.finish(gen, i, t, horizon)
+                ids[w] = i
                 if tables.stops[i]:
-                    ids[w], times[w] = i, end
+                    times[w] = end
     return tables.states, ids, times
 
 
 def passage_counts(states, ids) -> list:
-    """(state, walks) for each state that ``first_passages`` walks stopped
-    at, in id order, from its ``states`` and ``ids``."""
+    """(state, walks) for each state among ``states[ids]``, in the order of
+    the first walk that ends there.  Callers pass the ``ids`` of
+    ``first_passages`` that they count, as ``ids[times >= 0]``."""
     np = _numpy()
-    per_state = np.bincount(ids[ids >= 0])
-    hit = np.flatnonzero(per_state)
-    return [(states[i], n) for i, n in zip(hit.tolist(), per_state[hit].tolist())]
-
-
-def fixed_length_ends(kernel: MarkovKernel, start, steps: int, samples: int,
-                      gen: np.random.Generator) -> list:
-    """The states of ``samples`` walks from ``start`` after ``steps`` steps
-    each, in walk order; walk i takes draws i*steps .. i*steps + steps - 1
-    of gen.
-
-    Chunks of at most ``_SEED_CHUNK`` walks and ``_CHUNK_DRAWS`` draws step
-    together, one table step per time step.  Walks that would make a chunk
-    of fewer than ``_LOCKSTEP_MIN`` (long walks, or the last few) run one
-    after another through ``_RowTables.finish`` with a stop that never
-    holds, where a numpy pass would cost more than their scalar steps.
-    """
-    np = _numpy()
-    tables = _RowTables(kernel, start, lambda x: False)
-    chunk = min(_SEED_CHUNK, _CHUNK_DRAWS // max(steps, 1))
-    ends: list = []
-    while chunk >= _LOCKSTEP_MIN and samples - len(ends) >= _LOCKSTEP_MIN:
-        n = min(chunk, samples - len(ends))
-        uniforms = gen.random(n * steps).reshape(n, steps)
-        cur = np.zeros(n, np.intp)
-        for j in range(steps):
-            cur = tables.step(cur, uniforms[:, j])
-        ends += [tables.states[i] for i in cur.tolist()]
-    while len(ends) < samples:
-        ends.append(tables.states[tables.finish(gen, 0, 0, steps)[0]])
-    return ends
+    hit, first, walks = np.unique(ids, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return [(states[i], n) for i, n in zip(hit[order].tolist(), walks[order].tolist())]
 
 
 def occupation_counts(trajectory: Trajectory) -> dict:

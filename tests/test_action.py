@@ -19,7 +19,10 @@ from chamberwalk.action import (
     return_time_stats,
 )
 from chamberwalk.netwalk import (
-    _SEED_CHUNK,
+    _CHUNK,
+    _TAIL,
+    FIRST_BLOCK,
+    MAX_BLOCK,
     MarkovKernel,
     RngStream,
     cycle_network,
@@ -224,19 +227,37 @@ def test_quotient_law_c6_rot3():
 
 
 def _reference_quotient_counts(qnet, start, steps, samples, rng):
-    """quotient_law_check's tally as a scalar loop: one stream, walk after
-    walk, one uniform per step and a linear scan of the row's running float
-    sum."""
+    """quotient_law_check's tally as a scalar loop on one generator.  A chunk
+    of _CHUNK walks that holds more than _TAIL of them takes one uniform per
+    walk and step, in walk order; a smaller one runs walk after walk, in
+    blocks of FIRST_BLOCK, 4 FIRST_BLOCK, ... up to MAX_BLOCK uniforms, each
+    capped at the steps left.  A step is a linear scan of the row's running
+    float sum."""
     kernel = kernel_from_network(qnet.ambient)
     expected = exact_distribution_after(qnet.kernel(), qnet.project(start), steps)
     counts = {y: 0 for y in sorted(expected, key=repr)}
-    gen = rng.generator()
-    for _ in range(samples):
-        x = start
-        for _ in range(steps):
-            row, u = kernel.row(x), gen.random()
-            sums = accumulate(float(p) for _, p in row)
-            x = next((y for (y, _), acc in zip(row, sums) if u < acc), row[-1][0])
+
+    def step(x, u):
+        row = kernel.row(x)
+        sums = accumulate(float(p) for _, p in row)
+        return next((y for (y, _), acc in zip(row, sums) if u < acc), row[-1][0])
+
+    gen, ends = rng.generator(), []
+    for lo in range(0, samples, _CHUNK):
+        walks = [start] * min(_CHUNK, samples - lo)
+        if len(walks) > _TAIL:
+            for _ in range(steps):
+                walks = [step(x, u) for x, u in zip(walks, gen.random(len(walks)).tolist())]
+        else:
+            for i in range(len(walks)):
+                t, block = 0, FIRST_BLOCK
+                while t < steps:
+                    for u in gen.random(min(block, steps - t)).tolist():
+                        walks[i] = step(walks[i], u)
+                        t += 1
+                    block = min(4 * block, MAX_BLOCK)
+        ends += walks
+    for x in ends:
         xbar = qnet.project(x)
         if xbar not in counts:
             counts[xbar] = 0
@@ -254,12 +275,12 @@ def _mislabelled_quotient():
 
 @pytest.mark.parametrize("case", [
     lambda: (quotient_network(integer_line_network(), IntegerTranslationAction(3)), 0, 5,
-             2 * _SEED_CHUNK + 5, RngStream(13)),
+             2 * _CHUNK + 5, RngStream(13)),
     lambda: (quotient_network(cycle_network(6), c6_rotation_action(2)), 1, 4, 700,
              RngStream(14, (2,))),
     lambda: (quotient_network(cycle_network(6), c6_rotation_action(3)), 0, 0, 40,
              RngStream(15)),
-    lambda: (_mislabelled_quotient(), 0, 3, _SEED_CHUNK + 9, RngStream(16)),
+    lambda: (_mislabelled_quotient(), 0, 3, _CHUNK + 9, RngStream(16)),
 ], ids=["line-mod-3", "cycle6-rot2", "no-steps", "new-keys"])
 def test_quotient_law_counts_equal_a_scalar_loop(case):
     qnet, start, steps, samples, rng = case()

@@ -18,7 +18,7 @@ from chamberwalk.boundary import (
     special_subgroup_detect,
 )
 from chamberwalk.buildings import A2Ball, SphericalA2, TreeBuilding
-from chamberwalk.netwalk import RngStream, encode_node, first_passages
+from chamberwalk.netwalk import _CHUNK, _TAIL, FIRST_BLOCK, MAX_BLOCK, RngStream, encode_node
 from chamberwalk.stats import ChiSquareResult, chisquare_uniform, combine_chisquares
 
 
@@ -349,17 +349,54 @@ def test_tree_exit_cells_feed_one_sphere_chisquare(tree2):
     assert stats.chi == chisquare_uniform([tally.get(v, 0) for v in sphere])
 
 
+def _exit_walks(kernel, o, stop, rng, samples, horizon):
+    """The exit state of each walk, or None at the horizon, from a scalar
+    loop on one generator: per chunk of _CHUNK walks, one uniform per live
+    walk and time step, in walk order, until at most _TAIL are left; then
+    each of those walks alone, in blocks of FIRST_BLOCK, 4 FIRST_BLOCK, ...
+    up to MAX_BLOCK uniforms, each block capped at horizon - t.  A step
+    scans the row's running float sum."""
+    def step(z, u):
+        acc = 0.0
+        for y, p in kernel.row(z):
+            acc += float(p)
+            if u < acc:
+                return y
+        return y
+
+    gen, out = rng.generator(), []
+    for lo in range(0, samples, _CHUNK):
+        live = {w: o for w in range(lo, min(lo + _CHUNK, samples))}
+        exits, t = {}, 0
+        while t < horizon and len(live) > _TAIL:
+            t += 1
+            for (w, z), u in zip(list(live.items()), gen.random(len(live)).tolist()):
+                live[w] = z = step(z, u)
+                if stop(z):
+                    exits[w] = z
+                    del live[w]
+        for w, z in live.items():
+            s, block, exits[w] = t, FIRST_BLOCK, None
+            while s < horizon and exits[w] is None:
+                for u in gen.random(min(block, horizon - s)).tolist():
+                    s, z = s + 1, step(z, u)
+                    if stop(z):
+                        exits[w] = z
+                        break
+                block = min(4 * block, MAX_BLOCK)
+        out += [exits[w] for w in sorted(exits)]
+    return out
+
+
 def _hitting_by_exit_tuples(ik, o, level, samples, rng, horizon=100000):
     """counts, unresolved and chi as boundary_hitting_mc formed them from one
-    (state, t) entry per walk: a Counter over the exit states, each mapped
-    through exit_cell, the tally sorted by encode_node."""
+    exit per walk: a Counter over the exit states, each mapped through
+    exit_cell, the tally sorted by encode_node."""
     model = ik.model
-    states, ids, times = first_passages(ik.kernel(), o,
-                                        lambda z: max(model.sigma(o, z)) >= level,
-                                        rng, samples, horizon)
-    hits = [None if i < 0 else (states[i], t) for i, t in zip(ids.tolist(), times.tolist())]
+    exits = _exit_walks(ik.kernel(), o, lambda z: max(model.sigma(o, z)) >= level,
+                       rng, samples, horizon)
     tally = Counter()
-    for z, c in Counter(hit[0] for hit in hits if hit is not None).items():
+    for z, c in Counter(z for z in exits if z is not None).items():
         tally[model.exit_cell(o, z, level)] += c
     parts = []
     for cells in model.exit_classes(o, level).values():
@@ -368,7 +405,7 @@ def _hitting_by_exit_tuples(ik, o, level, samples, rng, horizon=100000):
             parts.append(chisquare_uniform(counts))
     stat = combine_chisquares(parts) if parts else ChiSquareResult(float("inf"), 0, 0.0)
     counts = tuple(sorted(tally.items(), key=lambda t: encode_node(t[0])))
-    return counts, hits.count(None), stat
+    return counts, exits.count(None), stat
 
 
 @pytest.mark.parametrize("model, level, samples, horizon", [

@@ -117,10 +117,10 @@ def test_discretize_rotation_report_bytes_are_pinned(family, digest, capsys):
      "2fdd1746b79750d967e983d9d7e0c72b002954db52a2c80e5a2c5bb9030cfc91"),
     ("simulate --family tree:2 --steps 2000 --seed 11",
      "6109c22cc61232cd58fe3cc65a7980af230a8be9162436c31a1bdb1f01afebd8"),
-    # fewer than _LOCKSTEP_MIN walks: every walk in the one-by-one rest
+    # more than _TAIL walks: all of them step in lockstep to the horizon
     ("quotient --family cycle:6 --action rotation:3 --seed 1 --samples 100 --steps 5",
-     "86fda2f40834839300beabd6301c9a23ebf3e685ea05adc6fde349e50b711ac6"),
-    # walks too long for a lockstep chunk of _LOCKSTEP_MIN
+     "cb8010c2f9c5c75ab977b0de773b831e77d6c16cca3c4bbf8715c36498ecd844"),
+    # at most _TAIL walks: each runs alone, in block draws
     ("quotient --family cycle:6 --action rotation:2 --seed 2 --samples 50 --steps 9000",
      "37dd08026dc08953f7a803ac5288fbb8974ed100507207a3e246a6f652d2b438"),
 ], ids=["simulate-cycle", "simulate-tree", "quotient-scalar-rest", "quotient-scalar-only"])
@@ -448,10 +448,10 @@ def test_no_command_exits_2(capsys):
 
 
 def test_failing_statistical_check_exits_1(capsys):
-    # this seed and sample count land a borderline chi-square miss
-    # (p = 0.0085 < 0.01) in the integer-mod-3 law check, reproducibly
+    # this seed and sample count land a chi-square miss (p = 0.0012 < 0.01)
+    # in the cycle6-rot3 law check, reproducibly
     code, report = run_json(capsys, "verify", "--suite", "quotient-law",
-                            "--seed", "20260825", "--samples", "4000")
+                            "--seed", "20260902", "--samples", "4000")
     assert code == 1
     assert report["verdict"] is False
     failed = [c for s in report["suites"] for c in s["checks"]
@@ -508,12 +508,23 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ]:
         conf.write_text(text)
         assert main([*argv, "--config", str(conf)]) == 2, text
-    # node flags: JSON nesting 5,000 lists deep, and a dict node
+    # node flags: JSON nesting 5,000 lists deep, a dict node, a bool or a
+    # float standing for an int node, and a node named twice; fewer than one
+    # quotient step, with or without the law check
     deep = "[" * 5000 + "]" * 5000
+    quotient = ["quotient", "--family", "cycle:6", "--action", "rotation:3", "--seed", "1"]
     for argv in (["simulate", "--seed", "1", "--family", "tree:2", "--start", deep],
                  ["induce", "--family", "cycle:6", "--subset", deep],
                  ["simulate", "--seed", "1", "--family", "cycle:6", "--start", '{"a": 1}'],
-                 ["induce", "--family", "cycle:6", "--subset", '[0, {"a": 1}]']):
+                 ["induce", "--family", "cycle:6", "--subset", '[0, {"a": 1}]'],
+                 ["induce", "--family", "cycle:6", "--subset", "[true, 3]"],
+                 ["simulate", "--seed", "1", "--family", "cycle:6", "--start", "2.0"],
+                 ["simulate", "--seed", "1", "--family", "path:4", "--start", "true"],
+                 ["induce", "--family", "cycle:6", "--subset", "[0, 0, 3]"],
+                 [*quotient, "--samples", "100", "--steps", "-1"],
+                 [*quotient, "--steps", "-1"],
+                 [*quotient, "--steps", "0"],
+                 [*quotient[:5], "--steps", "-1"]):
         capsys.readouterr()
         assert main(argv) == 2, argv[-1][:20]
         err = capsys.readouterr().err
@@ -637,7 +648,7 @@ def test_out_directory_receives_files(tmp_path, capsys):
 # -- the full battery ---------------------------------------------------------------
 
 
-ALL_SUITES_DIGEST = "7dd61c6105d927c9fac646b601d1411d37231227cd68825562a8b626df8fbbd2"
+ALL_SUITES_DIGEST = "886c35f2d7b9bc390fef646258faefcc570ae1bf2690f055e611e32e887d9ae0"
 
 
 def test_all_suites_pass(capsys):

@@ -27,7 +27,7 @@ _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 def _definitions(path):
     """(qualified name, first line, last line) of every top-level function,
-    class and method of one module."""
+    class, method and assigned name of one module."""
     out = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -35,17 +35,23 @@ def _definitions(path):
         if isinstance(node, ast.ClassDef):
             out.extend((f"{path.stem}.{node.name}.{sub.name}", sub.lineno, sub.end_lineno)
                        for sub in node.body if isinstance(sub, ast.FunctionDef))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((f"{path.stem}.{name.id}", node.lineno, node.end_lineno)
+                       for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name))
     return out
 
 
 def _references(path):
-    """(line, identifier, bare) of every name, attribute, import and dotted
-    string constant (as bench/tracing.py names its targets) in one file.
-    bare marks a plain name or an import: a local variable or a function
-    of the same name, which reaches no class member."""
+    """(line, identifier, bare) of every name read, attribute, import and
+    dotted string constant (as bench/tracing.py names its targets) in one
+    file.  bare marks a plain name or an import: a local variable or a
+    function of the same name, which reaches no class member.  A name that
+    is only assigned is not read."""
     out = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.append((node.lineno, node.id, True))
         elif isinstance(node, ast.Attribute):
             out.append((node.lineno, node.attr, False))
