@@ -38,7 +38,7 @@ from .stats import ChiSquareResult, chisquare_expected
 if TYPE_CHECKING:
     import numpy as np
 
-GROUP_CLOSURE_LIMIT = 20000
+GROUP_CLOSURE_LIMIT = 2_000_000     # point images a closure may hold: elements x points
 
 
 # -- finite permutation actions -------------------------------------------------
@@ -64,7 +64,7 @@ class FiniteAction:
                 for h in gens:
                     comp = compose(h)
                     if comp not in seen:
-                        if len(seen) >= GROUP_CLOSURE_LIMIT:
+                        if (len(seen) + 1) * n > GROUP_CLOSURE_LIMIT:
                             raise SizeGuardError("permutation group closure too large")
                         seen.add(comp)
                         new.append(comp)

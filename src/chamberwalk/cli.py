@@ -112,7 +112,7 @@ class RunConfig:
         return _integer(self.params.get(name, default), name)
 
     def sample_count(self, default: int) -> int:
-        return default if self.samples is None else _positive_int(self.samples, "samples")
+        return default if self.samples is None else self.samples
 
     def require_stream(self) -> RngStream:
         if self.seed is None:
@@ -158,6 +158,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise SchemaError(f"seed must be an integer, got {seed!r}")
     samples = params.pop("samples", None)
+    if samples is not None:     # read whether or not the command samples
+        samples = _positive_int(samples, "samples")
     workers = params.pop("workers", 1)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise SchemaError(f"workers must be a positive integer, got {workers!r}")

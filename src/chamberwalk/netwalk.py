@@ -371,13 +371,19 @@ class _RowTables:
     State i is ``states[i]``.  Once a walk stands at it, ``rows[i]`` holds
     the target ids and running float sums of ``_cumulative``, and the table
     rows ``cum[i]`` (padded with +inf) and ``nxt[i]`` (padded with the last
-    target) hold the same; ``(cum[cur] <= u).sum(1)`` is then
-    ``bisect_right`` on those floats.  ``stop`` is called once per state, for
-    states a walk reached only; ``stops`` keeps its answers, and
-    ``stopped_at`` copies them for the lockstep test.  The Python lists
-    serve the one-walk loops (``finish``, and ``simulate``, which records
-    every state); the numpy tables are filled from them when a lockstep
-    step first needs a state.
+    target) hold the same.  The tables are W wide, W a power of two, and a
+    lockstep step is a branch-free binary search over them (Khuong and
+    Morin, ACM JEA 22, 2017): from ``at = cur * W``, for h = W/2, W/4, ...,
+    1, ``at += h * (cum.take(at + h - 1) <= u)``, then ``nxt.take(at)``.
+    A row's sums never decrease and its last is +inf, so the probes count
+    its sums <= u: ``bisect_right`` on the same floats, with log2(W)
+    one-dimensional takes in place of a W-wide gather per walk.
+
+    ``stop`` is called once per state, for states a walk reached only;
+    ``stops`` keeps its answers, and ``stopped_at`` copies them for the
+    lockstep test.  The Python lists serve the one-walk loops (``finish``,
+    and ``simulate``, which records every state); the numpy tables are
+    filled from them when a lockstep step first needs a state.
     """
 
     def __init__(self, kernel: MarkovKernel, start, stop=None) -> None:
@@ -427,7 +433,12 @@ class _RowTables:
                 self.nxt[i] = targets[-1]
                 self.nxt[i, :len(targets)] = targets
             self.ready[missing] = True
-        return self.nxt[cur, (self.cum[cur] <= u[:, None]).sum(1)]
+        width = self.cum.shape[1]
+        at, h = cur * width, width // 2     # flat indices: take() reads the tables flat
+        while h:
+            at += h * (self.cum.take(at + (h - 1)) <= u)
+            h //= 2
+        return self.nxt.take(at)
 
     def stopped(self, cur):
         """Whether stop holds at each id of ``cur``."""
@@ -440,7 +451,9 @@ class _RowTables:
         return known == 1
 
     def _grow(self, size: int, width: int) -> None:
-        """Make room for ``size`` states and rows of ``width`` targets."""
+        """Make room for ``size`` states and rows of ``width`` targets, the
+        width rounded up to a power of two."""
+        width = 1 << (width - 1).bit_length()
         rows, cols = self.cum.shape
         if size <= rows and width <= cols:
             return

@@ -102,20 +102,29 @@ def test_group_closure_guard_trips_past_its_limit(monkeypatch, capsys):
     from chamberwalk.cli import main
     from chamberwalk.errors import SizeGuardError
 
+    # the limit counts point images: S4 holds 24 permutations of 4 points
     s4 = [[1, 2, 3, 0], [1, 0, 2, 3]]
-    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 24)
+    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 96)
     assert len(FiniteAction(range(4), s4).elements) == 24
-    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 23)
+    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 95)
     with pytest.raises(SizeGuardError, match="^permutation group closure too large$"):
         FiniteAction(range(4), s4)
     # the CLI reports the guard with exit code 3: rotation:1 on cycle:24
-    # generates 24 rotations
+    # generates 24 rotations of 24 points, 576 images
     assert main(["discretize", "--family", "cycle:24", "--action", "rotation:1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "size guard: permutation group closure too large\n"
-    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 24)
+    monkeypatch.setattr(action, "GROUP_CLOSURE_LIMIT", 576)
     assert main(["discretize", "--family", "cycle:24", "--action", "rotation:1"]) == 0
+    # at the shipped limit of 2e6 images: 1,414 rotations of 1,414 points
+    # fit, 1,415 of 1,415 do not
+    monkeypatch.undo()
+    rotations = [tuple((i + 1) % 1414 for i in range(1414))]
+    assert len(FiniteAction(range(1414), rotations).elements) == 1414
+    capsys.readouterr()
+    assert main(["discretize", "--family", "cycle:1415", "--action", "rotation:1"]) == 3
+    assert capsys.readouterr().err == "size guard: permutation group closure too large\n"
 
 
 def test_covolume_integer_line():

@@ -529,6 +529,19 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert main(argv) == 2, argv[-1][:20]
         err = capsys.readouterr().err
         assert err.startswith("bad request: ") and "Traceback" not in err
+    # fewer than one sample, also where the command draws no sample
+    rotation2 = ["--family", "cycle:6", "--action", "rotation:2"]
+    for n, argv in (("-5", ["quotient", *rotation2]),
+                    ("0", ["quotient", *rotation2]),
+                    ("-5", ["quotient", *rotation2, "--seed", "1"]),
+                    ("-5", ["verify", "--suite", "tree-nlambda"]),
+                    ("-5", ["discretize", "--family", "cycle:24", "--action", "rotation:3"])):
+        capsys.readouterr()
+        assert main([*argv, "--samples", n]) == 2, (argv, n)
+        assert capsys.readouterr().err == f"bad request: samples must be positive, got {n}\n"
+    conf.write_text('{"samples": 0}')
+    assert main(["verify", "--suite", "tree-nlambda", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == "bad request: samples must be positive, got 0\n"
 
 
 # -- report content ----------------------------------------------------------------

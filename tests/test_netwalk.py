@@ -376,6 +376,50 @@ def test_table_step_equals_the_linear_scan_at_every_cumulative_value():
             assert [tables.states[i] for i in ids] == [_scan_step(row, u) for u in us]
 
 
+def _probe_points(cum):
+    """0, just below 1, every running sum but the last and its two float
+    neighbours: the uniforms at which a binary search can go wrong."""
+    points = {0.0, math.nextafter(1.0, 0.0)}
+    for c in cum[:-1]:
+        points |= {c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)}
+    return sorted(v for v in points if 0.0 <= v < 1.0)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_table_step_is_bisect_right_on_the_cumulative_sums_at_every_width(exact):
+    # rows of these widths at states 0-8 lead to 17 states that stay put, so
+    # a walk's first step alone decides which table rows are filled
+    widths = (1, 2, 3, 4, 5, 8, 14, 16, 17)
+    ends = range(len(widths), len(widths) + 17)
+    rand = random.Random(49)
+    rows = {x: [(x, Fraction(1) if exact else 1.0)] for x in ends}
+    for x, width in enumerate(widths):      # zero weights repeat a running sum
+        weights = [rand.choice([0, 0, 1, 2, 3]) for _ in range(width)]
+        weights[rand.randrange(width)] += 1
+        total = sum(weights)
+        rows[x] = [(y, Fraction(w, total) if exact else w / total)
+                   for y, w in zip(rand.sample(ends, width), weights)]
+    kernel = MarkovKernel.finite(rows)
+    assert kernel.is_exact == exact
+    tables = _RowTables(kernel, 0)
+    ids = [tables._intern(x) for x in range(len(widths))]
+    tables._grow(len(ids), 1)   # room for walks to stand at states 0-8 from the start
+    # narrow rows first, then wider ones: the tables grow and pad the rows
+    # already filled, while the walks of earlier steps go on
+    cur = []
+    for stage, table_width in ((4, 4), (6, 8), (9, 32)):
+        u = [rand.random() for _ in cur]
+        for i in ids[:stage]:
+            probes = _probe_points(_cumulative(kernel.row(tables.states[i]))[1])
+            cur, u = cur + [i] * len(probes), u + probes
+        after = tables.step(np.array(cur, np.intp), np.array(u)).tolist()
+        for i, v, j in zip(cur, u, after):
+            targets, cum = _cumulative(kernel.row(tables.states[i]))
+            assert tables.states[j] == targets[bisect_right(cum, v)], (tables.states[i], v)
+        assert tables.cum.shape[1] == tables.nxt.shape[1] == table_width
+        cur = after
+
+
 def test_sample_next_takes_one_uniform_per_step():
     kern = kernel_from_network(cycle_network(6))
     gen, ref = RngStream(4).generator(), RngStream(4).generator()
