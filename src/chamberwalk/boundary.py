@@ -26,17 +26,12 @@ from .netwalk import MarkovKernel, RngStream, encode_node, first_passages, passa
 from .stats import ChiSquareResult, chisquare_uniform, combine_chisquares
 
 
-def _weyl_data(model):
-    """Weyl group and uniform thickness vector attached to a building model."""
-    return model.weyl, uniform_thickness(model.root_system, model.thickness)
-
-
 class CylinderMeasure:
     """nu_x on the cylinder algebra: nu_x(Omega_x(y)) = 1/N_{sigma(x,y)}."""
 
     def __init__(self, model) -> None:
         self.model = model
-        self.weyl, self.tv = _weyl_data(model)
+        self.weyl, self.tv = model.weyl, uniform_thickness(model.root_system, model.thickness)
 
     def n_lambda(self, lam) -> int:
         return n_lambda(self.weyl, self.tv, lam)
@@ -188,7 +183,6 @@ class IsotropicKernel:
 
     def __init__(self, model, c=None) -> None:
         self.model = model
-        self.weyl, self.tv = _weyl_data(model)
         rs = model.root_system
         if c is None:
             c = {tuple(int(i == j) for j in range(rs.rank)): Fraction(1, rs.rank)
@@ -211,11 +205,6 @@ class IsotropicKernel:
             raise ValueError(f"step law sums to {sum(law.values())}, not 1")
         model.check_steps(law)
         self.c = law
-
-    @property
-    def symmetric(self) -> bool:
-        rs = self.model.root_system
-        return all(self.c.get(rs.iota(lam)) == pr for lam, pr in self.c.items())
 
     def row(self, x):
         out = []

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,7 +72,6 @@ from .netwalk import (
     integer_line_network,
     kernel_from_network,
     network_from_json,
-    occupation_counts,
     path_network,
     reversibility_defect,
     simulate,
@@ -225,6 +225,12 @@ def _rotation_action(size: int, r: int) -> FiniteAction:
     return FiniteAction(range(size), [tuple((i + r) % size for i in range(size))])
 
 
+def _cycle(n: int):
+    if n < 3:   # cycle_network(2) has two parallel edges, cycle_network(1) a loop
+        raise SchemaError(f"cycle size must be at least 3, got {n}")
+    return cycle_network(n), 0, None, lambda x: _is_int(x) and 0 <= x < n
+
+
 def _word_tree(action):
     return action.network(), (), action, action.contains
 
@@ -239,8 +245,7 @@ def _is_int(x) -> bool:
 # (network, base node, built-in action or None, node test)).  Cycles take
 # their lattice action from --action.
 FAMILIES = {
-    "cycle": ("cycle size", ("network", "lattice"), ("rotation",),
-              lambda n: (cycle_network(n), 0, None, lambda x: _is_int(x) and 0 <= x < n)),
+    "cycle": ("cycle size", ("network", "lattice"), ("rotation",), _cycle),
     "path": ("path size", ("network",), (),
              lambda n: (path_network(n), 0, None, lambda x: _is_int(x) and 0 <= x < n)),
     "integer-line": (None, ("network",), ("translation",),
@@ -314,6 +319,8 @@ def cmd_coxeter_tables(cfg: RunConfig) -> int:
         tv = uniform_thickness(rs, _positive_int(q_value, "thickness q"))
     tv.validate(rs)
     box = cfg.int_param("box", 3)
+    if box < 0:
+        raise SchemaError(f"box must be nonnegative, got {box}")
     table = []
     for cw in dominant_coweights(rs, box):
         table.append({
@@ -385,8 +392,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if not is_node(start):
         raise SchemaError(f"start node {start!r} is not in the network")
     steps = _positive_int(cfg.param("steps", 1000), "steps")
-    trajectory = simulate(kernel_from_network(net), start, steps, rng)
-    counts = occupation_counts(trajectory)
+    states = simulate(kernel_from_network(net), start, steps, rng)
+    counts = Counter(states)
     occupation = [
         {"node": repr(x), "visits": counts[x]}
         for x in sorted(counts, key=encode_node)
@@ -398,7 +405,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "steps": steps,
         "start": repr(start),
-        "end": repr(trajectory.nodes[-1]),
+        "end": repr(states[-1]),
         "distinct_nodes": len(counts),
         "returns_to_start": counts[start] - 1,
         "occupation": occupation,

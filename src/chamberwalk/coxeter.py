@@ -136,23 +136,6 @@ class RootSystem:
     def is_dominant(self, cw: IVec) -> bool:
         return all(c >= 0 for c in cw)
 
-    def dominant_rep(self, cw: IVec) -> IVec:
-        """The dominant representative of the Weyl orbit of a coweight."""
-        c = tuple(cw)
-        while True:
-            for i in range(1, self.rank + 1):
-                if c[i - 1] < 0:
-                    c = self.reflect_coweight(i, c)
-                    break
-            else:
-                return c
-
-    def iota(self, cw: IVec) -> IVec:
-        """The involution -w_0 on dominant coweights."""
-        if not self.is_dominant(cw):
-            raise ValueError("iota expects a dominant coweight")
-        return self.dominant_rep(tuple(-c for c in cw))
-
     def in_coroot_lattice(self, cw: IVec) -> bool:
         """Whether a coweight lies in the lattice spanned by the coroots.
 
@@ -181,8 +164,8 @@ class WeylElement:
 
     ``root_mat`` acts on root coordinates, ``cw_mat`` on coweight
     coordinates; both are integer matrices in the simple root respectively
-    fundamental coweight bases.  ``word`` is a fixed reduced word, built by
-    stripping right descents, with letters in 1..rank.
+    fundamental coweight bases.  ``word`` is a fixed reduced word, letters in
+    1..rank, whose last letter is the smallest right descent.
     """
 
     root_mat: Mat
@@ -233,48 +216,28 @@ class WeylGroup:
         self._products: dict | None = None
         self._words: dict[tuple[int, ...], WeylElement] = {}
 
-    def _length_of(self, root_mat: Mat) -> int:
-        rs = self.root_system
-        inv = 0
-        for alpha in rs.positive_roots:
-            img = _mat_vec(root_mat, alpha)
-            if all(x <= 0 for x in img):
-                inv += 1
-        return inv
-
     def _enumerate(self) -> tuple[WeylElement, ...]:
+        """Breadth first by right multiplication, letters outermost: each
+        element w is first reached as (w s_i) s_i for its smallest right
+        descent i, so its depth is its length and its word is the word of
+        w s_i followed by i."""
         n = self.root_system.rank
-        seen: dict[Mat, Mat] = {_identity(n): _identity(n)}   # root_mat -> cw_mat
-        frontier = [_identity(n)]
+        e = _identity(n)
+        seen: dict[Mat, tuple] = {e: (e, 0, ())}    # root_mat -> (cw_mat, length, word)
+        frontier = [e]
         while frontier:
             new = []
-            for rm in frontier:
-                cm = seen[rm]
-                for gi in range(n):
-                    nrm = _mat_mul(self._gen_root[gi], rm)
+            for gi in range(n):
+                for rm in frontier:
+                    nrm = _mat_mul(rm, self._gen_root[gi])
                     if nrm not in seen:
-                        seen[nrm] = _mat_mul(self._gen_cw[gi], cm)
+                        cm, length, word = seen[rm]
+                        seen[nrm] = (_mat_mul(cm, self._gen_cw[gi]), length + 1,
+                                     word + (gi + 1,))
                         new.append(nrm)
             frontier = new
-        lengths = {rm: self._length_of(rm) for rm in seen}
-        words: dict[Mat, tuple[int, ...]] = {_identity(n): ()}
-        for rm in sorted(seen, key=lambda m: (lengths[m], m)):
-            if rm in words:
-                continue
-            # right descent: w(alpha_i) < 0 means l(w s_i) = l(w) - 1
-            for i in range(1, n + 1):
-                col = tuple(rm[r][i - 1] for r in range(n))
-                if all(x <= 0 for x in col):
-                    shorter = _mat_mul(rm, self._gen_root[i - 1])
-                    words[rm] = words[shorter] + (i,)
-                    break
-            else:
-                raise AssertionError("non-identity element without a descent")
-        elems = [
-            WeylElement(rm, seen[rm], lengths[rm], words[rm])
-            for rm in sorted(seen, key=lambda m: (lengths[m], words[m]))
-        ]
-        return tuple(elems)
+        return tuple(sorted((WeylElement(rm, *data) for rm, data in seen.items()),
+                            key=lambda w: (w.length, w.word)))
 
     def generator(self, i: int) -> WeylElement:
         return self._by_mat[self._gen_root[i - 1]]
@@ -286,12 +249,6 @@ class WeylGroup:
                 (x, y): self._by_mat[_mat_mul(x.root_mat, y.root_mat)]
                 for x in self.elements for y in self.elements}
         return products[a, b]
-
-    def inverse(self, a: WeylElement) -> WeylElement:
-        w = self.identity
-        for i in reversed(a.word):
-            w = self.mult(w, self.generator(i))
-        return w
 
     def from_word(self, word) -> WeylElement:
         word = tuple(word)
@@ -329,10 +286,6 @@ class WeylGroup:
         top = max(elems, key=lambda w: w.length)
         assert sum(1 for w in elems if w.length == top.length) == 1
         return top
-
-    def orbit(self, cw: IVec) -> set[IVec]:
-        cw = tuple(cw)
-        return {w.apply_coweight(cw) for w in self.elements}
 
     def stabilizer(self, cw: IVec) -> tuple[WeylElement, ...]:
         cw = tuple(cw)

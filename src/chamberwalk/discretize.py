@@ -196,15 +196,15 @@ def discretize_lattice(net, action, o, rng: RngStream | None = None,
                        method: str = "auto") -> LatticeMeasure:
     """The step law of the walk induced on the orbit of o, pulled to the group.
 
-    Exact routes: transitive actions read the kernel row at o directly (on
-    finite networks this is cross-checked against the full induced-kernel
-    computation); integer translation subgroups on the nearest-neighbour
-    line get an absorption solve on one period window; finite ambient
-    networks get the induced kernel on the orbit.  Everything else falls
-    back to Monte Carlo with an explicit unresolved bucket; method="mc"
-    forces that path.  method="exact" refuses to sample, and refuses with
-    SizeGuardError a float law from an exact network past
-    ``EXACT_SOLVE_LIMIT``.
+    Exact routes: finite networks under finite actions get the induced
+    row at o from an absorption solve on the orbit, which has no unknowns
+    when the action is transitive; on other networks transitive actions
+    read the kernel row at o, and integer translation subgroups on the
+    nearest-neighbour line get an absorption solve on one period window.
+    Everything else falls back to Monte Carlo with an explicit unresolved
+    bucket; method="mc" forces that path.  method="exact" refuses to
+    sample, and refuses with SizeGuardError a float law from an exact
+    network past ``EXACT_SOLVE_LIMIT``.
     """
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -225,23 +225,16 @@ def discretize_lattice(net, action, o, rng: RngStream | None = None,
 
 def _exact_measure(net, action, o, kernel: MarkovKernel) -> LatticeMeasure | None:
     """The step law by the first exact route that applies, or None."""
+    if isinstance(net, FiniteNetwork) and isinstance(action, FiniteAction):
+        alpha = _hitting_rows(kernel, action.orbit(o))[1]
+        return _measure_from_row(action, o, _induced_row(kernel, alpha, o), "exact")
     if _is_transitive(action):
-        row = kernel.row(o)
-        if isinstance(net, FiniteNetwork):
-            induced = induced_kernel_exact(kernel, action.orbit(o)
-                                           if isinstance(action, FiniteAction)
-                                           else list(net.nodes))
-            if dict(induced.row(o)) != dict(row):
-                raise AssertionError("transitive fast path disagrees with induced kernel")
-        return _measure_from_row(action, o, row, "exact")
+        return _measure_from_row(action, o, kernel.row(o), "exact")
     if isinstance(action, IntegerTranslationAction):
         try:
             return _integer_line_exact(net, action, o, kernel)
         except ValueError:
             pass
-    if isinstance(net, FiniteNetwork) and isinstance(action, FiniteAction):
-        alpha = _hitting_rows(kernel, action.orbit(o))[1]
-        return _measure_from_row(action, o, _induced_row(kernel, alpha, o), "exact")
     return None
 
 

@@ -348,16 +348,6 @@ def reversibility_defect(kernel: MarkovKernel, m: dict):
 
 # -- trajectories --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trajectory:
-    start: object
-    nodes: tuple
-    stream: RngStream
-
-    def __len__(self) -> int:
-        return len(self.nodes) - 1
-
-
 def _distinct(ids) -> list:
     """The distinct values of an int array, ascending, from one bincount: a
     dict over ``ids.tolist()`` costs ten times as much for thousands of walks."""
@@ -370,14 +360,16 @@ class _RowTables:
 
     State i is ``states[i]``.  Once a walk stands at it, ``rows[i]`` holds
     the target ids and running float sums of ``_cumulative``, and the table
-    rows ``cum[i]`` (padded with +inf) and ``nxt[i]`` (padded with the last
-    target) hold the same.  The tables are W wide, W a power of two, and a
-    lockstep step is a branch-free binary search over them (Khuong and
-    Morin, ACM JEA 22, 2017): from ``at = cur * W``, for h = W/2, W/4, ...,
-    1, ``at += h * (cum.take(at + h - 1) <= u)``, then ``nxt.take(at)``.
+    rows ``cum[i]`` (padded with +inf) and ``nxt[i]`` hold the same.  The
+    tables are W wide, W a power of two, and a lockstep step is a
+    branch-free binary search over them (Khuong and Morin, ACM JEA 22,
+    2017): from ``at = cur * W``, for h = W/2, W/4, ..., 1,
+    ``at += h * (cum.take(at + h - 1) <= u)``, then ``nxt.take(at)``.
     A row's sums never decrease and its last is +inf, so the probes count
     its sums <= u: ``bisect_right`` on the same floats, with log2(W)
-    one-dimensional takes in place of a W-wide gather per walk.
+    one-dimensional takes in place of a W-wide gather per walk.  The count
+    stays below the row's length, so ``nxt`` is not padded: past a row's
+    length it is never read.
 
     ``stop`` is called once per state, for states a walk reached only;
     ``stops`` keeps its answers, and ``stopped_at`` copies them for the
@@ -430,7 +422,6 @@ class _RowTables:
             self._grow(len(self.states), width)
             for i, (targets, cum) in zip(missing, rows):
                 self.cum[i, :len(cum)] = cum
-                self.nxt[i] = targets[-1]
                 self.nxt[i, :len(targets)] = targets
             self.ready[missing] = True
         width = self.cum.shape[1]
@@ -462,7 +453,6 @@ class _RowTables:
         cum[:rows, :cols] = self.cum
         nxt = np.zeros((size, width), np.intp)
         nxt[:rows, :cols] = self.nxt
-        nxt[:rows, cols:] = self.nxt[:, -1:]
         self.cum, self.nxt = cum, nxt
         self.ready = np.concatenate([self.ready, np.zeros(size - rows, bool)])
         self.stopped_at = np.concatenate([self.stopped_at, np.full(size - rows, -1, np.int8)])
@@ -484,9 +474,10 @@ class _RowTables:
         return i, t
 
 
-def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Trajectory:
-    """Run ``steps`` transitions from ``start`` using the given stream, its
-    uniforms drawn in blocks of ``MAX_BLOCK``."""
+def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> tuple:
+    """The ``steps + 1`` states of a walk of ``steps`` transitions from
+    ``start`` using the given stream, its uniforms drawn in blocks of
+    ``MAX_BLOCK``."""
     tables = _RowTables(kernel, start)
     gen, rows, i, ids = rng.generator(), tables.rows, 0, [0]
     for lo in range(0, steps, MAX_BLOCK):
@@ -495,7 +486,7 @@ def simulate(kernel: MarkovKernel, start, steps: int, rng: RngStream) -> Traject
             i = targets[bisect_right(cum, u)]
             ids.append(i)
     states = tables.states
-    return Trajectory(start=start, nodes=tuple(states[i] for i in ids), stream=rng)
+    return tuple(states[i] for i in ids)
 
 
 def first_passages(kernel: MarkovKernel, start, stop, rng: RngStream, samples: int,
@@ -551,13 +542,6 @@ def passage_counts(states, ids) -> list:
     hit, first, walks = np.unique(ids, return_index=True, return_counts=True)
     order = np.argsort(first)
     return [(states[i], n) for i, n in zip(hit[order].tolist(), walks[order].tolist())]
-
-
-def occupation_counts(trajectory: Trajectory) -> dict:
-    counts: dict = {}
-    for x in trajectory.nodes:
-        counts[x] = counts.get(x, 0) + 1
-    return counts
 
 
 # -- structural checks ----------------------------------------------------------

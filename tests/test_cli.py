@@ -92,7 +92,8 @@ def test_discretize_past_the_old_solve_limit_is_exact(capsys):
 
 
 # rotation of each pinned cycle whose gcd with the length is not 2
-_PINNED_ROTATION = {"cycle:24": "rotation:3", "cycle:60": "rotation:4", "cycle:90": "rotation:6"}
+_PINNED_ROTATION = {"cycle:24": "rotation:3", "cycle:60": "rotation:4", "cycle:90": "rotation:6",
+                    "cycle:7": "rotation:1", "cycle:12": "rotation:5"}
 
 
 @pytest.mark.parametrize("family, digest", [
@@ -104,6 +105,9 @@ _PINNED_ROTATION = {"cycle:24": "rotation:3", "cycle:60": "rotation:4", "cycle:9
     ("cycle:24", "2167fc9846dbd60abe67e217dd48f998af9a54effc23fc63f202c69e22af5774"),
     ("cycle:60", "bee23d86b5787d2785975a4649aec05dab2e229a73573819a7ea02eae8c70df8"),
     ("cycle:90", "6da14a8c723d694e5faca79f7f2a48f50117f92caf7f4c998ee883683d455a07"),
+    # transitive rotations: the orbit is every node
+    ("cycle:7", "d9206cf2acaa85487db57e73d116476ccdcadfbd1d6f1e049f602b53e911a34d"),
+    ("cycle:12", "02ba91cf1a3195388df7a03556890b3e51822c266fff2b740f4dec06fa2e2a79"),
 ])
 def test_discretize_rotation_report_bytes_are_pinned(family, digest, capsys):
     action = _PINNED_ROTATION.get(family, "rotation:2")
@@ -126,6 +130,29 @@ def test_discretize_rotation_report_bytes_are_pinned(family, digest, capsys):
 ], ids=["simulate-cycle", "simulate-tree", "quotient-scalar-rest", "quotient-scalar-only"])
 def test_walk_report_bytes_are_pinned(argv, digest, capsys):
     code, out = run_raw(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, q, digest", [
+    ("--type A1 --q 3 --box 4", None,
+     "f0d4046ad123c50171d442cf6a25f3485687d70a8237d5f70cc4beb9e58d91c4"),
+    ("--type A2 --q 3 --box 4", None,
+     "f49ed94c351ee2d6b26f15ee62e6bd4d21d8d94a71bb14e7a506dd473ba7518b"),
+    ("--type G2 --box 0", None,
+     "429ff8b807ca1eac1f24d3b5fc621a824cceb779a619d932ee1eff4042118ff8"),
+    # thickness differing across root lengths: q_w reads each word's letters
+    ("--type B2 --box 4", [3, 3, 2],
+     "cc2cbfe8d93265a07305443fdbd088d14fdea9589bd4378cccebc073b060b07e"),
+    ("--type C2 --box 4", [2, 3, 2],
+     "8c9fdf1adc57b77a4d843632ad031c65896d120f57c0cc5e08458b3a25c0b2df"),
+    ("--type G2 --box 4", [3, 2, 3],
+     "aab9aa91ec5da0412b8bc0758985dc05072128ed09be70af5c1e3f8de8f3d27a"),
+])
+def test_coxeter_tables_report_bytes_are_pinned(argv, q, digest, tmp_path, capsys):
+    conf = tmp_path / "q.json"
+    conf.write_text(json.dumps({} if q is None else {"q": q}))
+    code, out = run_raw(capsys, "coxeter-tables", *argv.split(), "--config", str(conf))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -542,6 +569,18 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     conf.write_text('{"samples": 0}')
     assert main(["verify", "--suite", "tree-nlambda", "--config", str(conf)]) == 2
     assert capsys.readouterr().err == "bad request: samples must be positive, got 0\n"
+    # cycles of one or two nodes (a loop, two parallel edges), and a negative box
+    cycle = "cycle size must be at least 3, got"
+    for argv, err in ((["simulate", "--seed", "1", "--family", "cycle:2"], f"{cycle} 2"),
+                      (["simulate", "--seed", "1", "--family", "cycle:1"], f"{cycle} 1"),
+                      (["induce", "--family", "cycle:1", "--subset", "[0]"], f"{cycle} 1"),
+                      (["quotient", "--family", "cycle:2", "--action", "rotation:1"], f"{cycle} 2"),
+                      (["discretize", "--family", "cycle:2", "--action", "rotation:1"],
+                       f"{cycle} 2"),
+                      (["coxeter-tables", "--box", "-1"], "box must be nonnegative, got -1")):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"bad request: {err}\n"
 
 
 # -- report content ----------------------------------------------------------------

@@ -8,6 +8,7 @@ would print fewer metrics rather than fail; these tests fail instead.
 import importlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,11 +41,15 @@ def test_traced_name_resolves(module_name, path):
 
 
 @pytest.mark.parametrize("workload", ["ball-build", "exact-chains"])
-def test_traced_run_prints_a_correct_result_line(workload):
+def test_traced_run_prints_a_correct_result_line(workload, tmp_path):
+    # run.py writes into bench/out/ beside itself: run copies, not the checkout
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for part in ("bench", "src"):
+        shutil.copytree(_ROOT / part, tmp_path / part, ignore=skip)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.5", "--trace", "1"],
-        cwd=_ROOT, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines, f"no result line; stderr: {proc.stderr}"
